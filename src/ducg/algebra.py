@@ -43,7 +43,10 @@ class ArcLiteral:
 
     ``share`` is the arc's weight fraction of the child's causal mass within
     the graph the expression was expanded on; ``intensity`` the (completed)
-    matrix entry for the state pair.
+    matrix entry for the state pair. ``parallel`` is the arc's rank among
+    that graph's arcs from ``parent`` to ``child`` (0 unless there are several,
+    for instance under different conditions), so parallel arcs with equal
+    weight and matrix stay distinct routes instead of collapsing into one.
     """
 
     child: int
@@ -52,6 +55,7 @@ class ArcLiteral:
     parent_state: int
     share: float
     intensity: float
+    parallel: int = 0
 
     @property
     def probability(self) -> float:
@@ -94,20 +98,22 @@ class Product:
         for arc in self.arcs:
             p *= arc.probability
         for lit in self.roots:
-            p *= _root_probability(kb, lit)
+            p *= root_probability(kb, lit)
         return p
 
     def sort_key(self) -> tuple:
         return (
             tuple((l.var, l.state) for l in self.roots),
             tuple(
-                (l.child, l.child_state, l.parent, l.parent_state, l.share, l.intensity)
+                (l.child, l.child_state, l.parent, l.parent_state, l.share, l.intensity, l.parallel)
                 for l in self.arcs
             ),
         )
 
 
-def _root_probability(kb: KnowledgeBase, lit: RootLiteral) -> float:
+def root_probability(kb: KnowledgeBase, lit: RootLiteral) -> float:
+    """Probability of a root literal: its prior (state 0 takes what the
+    abnormal states leave), or 1 for a default cause."""
     var = kb.variables.get(lit.var)
     if var is None:
         raise MissingParameterError(f"expression names unknown variable {lit.var}")

@@ -2,9 +2,22 @@
 
 For every fault root the engine keeps a *cubic* graph: the stack of per-tick
 simplified slices joined by linkage edges. Each triggering evidence snapshot
-is explained by expanding the current evidence into an exact event expression
-over the latest slice, evaluating it, and ranking the fault states of every
-surviving root:
+is explained on the latest slice of every surviving root, by one of two
+evaluators that give its evidence probability ζ and the joint of each fault
+state, and the fault states are ranked:
+
+* ``expand`` rewrites the evidence into an exact event expression, which is
+  evaluated once for ζ and once per fault state. It takes every cyclic slice,
+  since its per-chain history is what defines a cycle's meaning, and every
+  slice whose route bound (the most products it can build) is at most
+  ``_EXPAND_MAX_ROUTES``: there it is the cheaper of the two, and its
+  summation order is the one the recorded fixture outputs hold;
+* ``factored_joints`` runs variable elimination on the slice read as a
+  causal network and returns every joint in one pass. It takes the other,
+  larger acyclic slices, where the expression would grow exponentially with
+  depth; it equals ``expand`` there up to float summation order.
+
+Slices and ranking follow these rules:
 
 * a slice keeps exactly the arcs lying on a causal path from the root to some
   evidenced variable (conditional arcs whose condition is false are deleted
@@ -12,15 +25,18 @@ surviving root:
 * weight denominators ``r`` are recomputed from the retained arcs, so a
   root's explanation never pays for causes that live outside its own graph;
 * a root whose graph cannot reach every abnormal observation — or whose
-  expression evaluates to probability zero — drops out of the hypothesis
-  space permanently.
+  evidence probability is zero — drops out of the hypothesis space
+  permanently.
 """
 
 from __future__ import annotations
 
 import time
+from math import prod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import product
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     ArcLiteral,
@@ -29,6 +45,7 @@ from .algebra import (
     RootLiteral,
     conjoin,
     eval_expression,
+    root_probability,
 )
 from .errors import (
     CycleLimitError,
@@ -66,12 +83,6 @@ class SliceGraph:
     scope: frozenset[int]  # full variable set of the root's subgraph
     valid: bool
     unexplained: tuple[int, ...]
-
-    def in_arcs(self, var: int) -> tuple[CausalArc, ...]:
-        return tuple(a for a in self.arcs if a.child == var)
-
-    def r(self, var: int) -> float:
-        return sum(a.weight for a in self.arcs if a.child == var)
 
 
 @dataclass(frozen=True)
@@ -267,6 +278,18 @@ def _absorb(
     return True
 
 
+def _in_arcs(g: SliceGraph) -> dict[int, list[tuple[CausalArc, int]]]:
+    """Each child's retained in-arcs in slice order, each with its rank among
+    the child's arcs from the same parent (0 unless arcs are parallel)."""
+    index: dict[int, list[tuple[CausalArc, int]]] = {}
+    ranks: dict[tuple[int, int], int] = {}
+    for arc in g.arcs:
+        key = (arc.child, arc.parent)
+        rank = ranks[key] = ranks.get(key, -1) + 1
+        index.setdefault(arc.child, []).append((arc, rank))
+    return index
+
+
 def _add_arc_literal(term: _Term, lit: ArcLiteral) -> bool:
     """One realized cause route per child variable; duplicates collapse."""
     seen = term.arcs.get(lit.child)
@@ -291,6 +314,7 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
     evidence = {
         v: s for v, s in ev.assignments.items() if v in g.variables
     }
+    in_arcs = _in_arcs(g)
 
     seed = _Term(roots={}, arcs={}, pending={}, pinned={})
     for var, state in sorted(evidence.items()):
@@ -317,8 +341,9 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
         state, history = term.pending.pop(var)
 
         routes: list[tuple[ArcLiteral, int, int]] = []
-        r_var = g.r(var)
-        for arc in g.in_arcs(var):
+        arcs_in = in_arcs.get(var, ())
+        r_var = sum(arc.weight for arc, _ in arcs_in)
+        for arc, parallel in arcs_in:
             if arc.parent in history:
                 continue  # not a simple causal chain
             parent = kb.variables[arc.parent]
@@ -329,9 +354,8 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
                 intensity = completed_intensity(arc, state, j)
                 if intensity == 0.0:
                     continue
-                routes.append(
-                    (ArcLiteral(var, state, arc.parent, j, share, intensity), arc.parent, j)
-                )
+                lit = ArcLiteral(var, state, arc.parent, j, share, intensity, parallel)
+                routes.append((lit, arc.parent, j))
 
         if not routes:
             if state == 0:
@@ -350,6 +374,144 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
     return EventExpression.make(finished)
 
 
+# --- factored evaluation -----------------------------------------------------------
+
+# Slices whose route bound is at most this stay on ``expand``: it costs less
+# per call there, and its summation order is the one the recorded fixture
+# outputs hold (the largest fixture slice has a route bound of 54).
+_EXPAND_MAX_ROUTES = 64
+
+
+def _takes_factored_path(g: SliceGraph, kb: KnowledgeBase) -> bool:
+    """True for an acyclic slice whose route bound exceeds the cutoff.
+
+    The route bound, Π over children of Σ over in-arcs of the parent's state
+    count, caps the number of products ``expand`` can build. Cyclic slices
+    always take ``expand``: its per-chain ``history`` defines their meaning.
+    """
+    routes: dict[int, int] = {}
+    for arc in g.arcs:
+        routes[arc.child] = routes.get(arc.child, 0) + len(kb.variables[arc.parent].states)
+    if prod(routes.values()) <= _EXPAND_MAX_ROUTES:
+        return False
+    pending: dict[int, set[int]] = {child: set() for child in routes}
+    for arc in g.arcs:
+        if arc.parent in pending:
+            pending[arc.child].add(arc.parent)
+    while pending:  # peel off children whose parents are all placed
+        ready = [child for child, parents in pending.items() if not parents]
+        if not ready:
+            return False
+        for child in ready:
+            del pending[child]
+        for parents in pending.values():
+            parents.difference_update(ready)
+    return True
+
+
+def _positions(
+    scope: tuple[int, ...], full: tuple[int, ...]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A function mapping an assignment over ``full`` to its ``scope`` key."""
+    where = [full.index(v) for v in scope]
+    if len(where) == 1:
+        i = where[0]
+        return lambda assignment: (assignment[i],)
+    return itemgetter(*where) if where else lambda assignment: ()
+
+
+def factored_joints(
+    ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
+) -> dict[int, float]:
+    """Pr{root = s ∧ evidence} for every root state s, by variable elimination.
+
+    Reads ``cubic``'s latest slice as a causal network: a root has its prior,
+    every caused variable the weighted mixture Σ (w/r)·intensity of its
+    retained in-arcs, an uncaused evidenced variable is certain to be normal,
+    and evidence clamps domains. Every variable except the root is summed
+    out, smallest resulting factor first. On an acyclic slice this equals
+    what ``expand`` builds, up to float summation order.
+    """
+    g = cubic.latest
+    evidence = {
+        v: s for v, s in ev.assignments.items() if v in g.variables
+    }
+    in_arcs = _in_arcs(g)
+    domains = {
+        v: (evidence[v],) if v in evidence else kb.variables[v].state_ids
+        for v in sorted(g.variables)
+    }
+
+    # Factors are (scope, table); clamped variables are left out of scopes.
+    factors: list[tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = []
+    for v in domains:
+        is_root = kb.variables[v].kind in ROOT_KINDS
+        arcs = [] if is_root else [arc for arc, _ in in_arcs.get(v, ())]
+        r = sum(arc.weight for arc in arcs)
+        family = (v,) + tuple(sorted({arc.parent for arc in arcs}))
+        scope = tuple(u for u in family if len(domains[u]) > 1)
+        table = {}
+        for states in product(*(domains[u] for u in family)):
+            a = dict(zip(family, states))
+            if is_root:
+                p = root_probability(kb, RootLiteral(v, a[v]))
+            elif arcs:
+                p = sum(
+                    arc.weight / r * completed_intensity(arc, a[v], a[arc.parent])
+                    for arc in arcs
+                )
+            else:
+                p = 1.0 if a[v] == 0 else 0.0  # uncaused: certainly normal
+            table[tuple(a[u] for u in scope)] = p
+        factors.append((scope, table))
+
+    root = g.root
+    while True:
+        touched: dict[int, set[int]] = {}
+        for scope, _ in factors:
+            for v in scope:
+                if v != root:
+                    touched.setdefault(v, set()).update(scope)
+        if not touched:
+            break
+
+        def size(v: int) -> tuple[int, int]:
+            n = 1
+            for u in touched[v]:
+                if u != v:
+                    n *= len(domains[u])
+            return n, v
+
+        v = min(touched, key=size)
+        joined = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = tuple(sorted(touched[v] - {v}))
+        full = scope + (v,)
+        lookups = [(table, _positions(fscope, full)) for fscope, table in joined]
+        table = {}
+        for states in product(*(domains[u] for u in scope)):
+            total = 0.0
+            for x in domains[v]:
+                a = states + (x,)
+                p = 1.0
+                for t, key in lookups:
+                    p *= t[key(a)]
+                total += p
+            table[states] = total
+        factors.append((scope, table))
+
+    joints = {}
+    for s in kb.variables[root].state_ids:
+        if s not in domains[root]:
+            joints[s] = 0.0
+            continue
+        p = 1.0
+        for scope, table in factors:
+            p *= table[(s,) if scope else ()]
+        joints[s] = p
+    return joints
+
+
 # --- ranking ---------------------------------------------------------------------
 
 
@@ -363,6 +525,25 @@ class HypothesisResult:
     posterior: float
 
 
+def _evaluate(
+    ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
+) -> tuple[float, dict[int, float]]:
+    """ζ of ``cubic``'s latest slice and the joint of each abnormal root state
+    (no joints when ζ is 0)."""
+    root = cubic.root
+    abnormal = kb.variables[root].abnormal_state_ids
+    if _takes_factored_path(cubic.latest, kb):
+        f = factored_joints(ev, cubic, kb)
+        return sum(f.values()), {s: f[s] for s in abnormal}
+    expr = expand(ev, cubic, kb)
+    zeta = eval_expression(expr, kb)
+    if zeta <= 0.0:
+        return zeta, {}
+    return zeta, {
+        s: eval_expression(conjoin(expr, RootLiteral(root, s)), kb) for s in abnormal
+    }
+
+
 def rank_hypotheses(
     graphs: Sequence[CubicGraph], ev: EvidenceSnapshot, kb: KnowledgeBase
 ) -> list[HypothesisResult]:
@@ -373,24 +554,21 @@ def rank_hypotheses(
     """
     if not graphs:
         raise EmptyHypothesisSpaceError("no graphs survive the evidence")
-    evaluated: list[tuple[CubicGraph, EventExpression, float]] = []
+    evaluated: list[tuple[CubicGraph, float, dict[int, float]]] = []
     for cubic in graphs:
-        expr = expand(ev, cubic, kb)
-        zeta = eval_expression(expr, kb)
+        zeta, joints = _evaluate(ev, cubic, kb)
         if zeta > 0.0:
-            evaluated.append((cubic, expr, zeta))
+            evaluated.append((cubic, zeta, joints))
     if not evaluated:
         raise EmptyHypothesisSpaceError(
             "evidence has probability zero on every surviving graph"
         )
-    total = sum(z for _, _, z in evaluated)
+    total = sum(z for _, z, _ in evaluated)
 
     results: list[HypothesisResult] = []
-    for cubic, expr, zeta in evaluated:
+    for cubic, zeta, joints in evaluated:
         xi = zeta / total
-        root_var = kb.variables[cubic.root]
-        for state in root_var.abnormal_state_ids:
-            joint = eval_expression(conjoin(expr, RootLiteral(cubic.root, state)), kb)
+        for state, joint in joints.items():
             if joint > 0.0:
                 results.append(
                     HypothesisResult(

@@ -104,6 +104,61 @@ def random_kb(rng: random.Random, *, with_default_cause: bool = False) -> Knowle
     return KnowledgeBase(variables, arcs)
 
 
+def layered_kb(
+    rng: random.Random, roots: int, layers: int, width: int, fan_in: int
+) -> KnowledgeBase:
+    """A deep acyclic KB, shape (roots, layers x width, fan_in): ``layers``
+    layers of ``width`` binary observables, each with ``fan_in`` parents in
+    the layer above (the roots above the first), every parent used where the
+    count allows. Expanding evidence on the last layer builds a number of
+    products that grows exponentially with the depth."""
+    variables: dict[int, Variable] = {}
+    above = list(range(1, roots + 1))
+    for r in above:
+        n_abnormal = rng.choice([1, 2])
+        raw = [rng.uniform(0.2, 1.0) for _ in range(n_abnormal)]
+        scale = rng.uniform(0.02, 0.2) / sum(raw)
+        variables[r] = Variable(
+            id=r,
+            kind="B",
+            label=f"root {r}",
+            states=_states(n_abnormal + 1),
+            prior={k + 1: raw[k] * scale for k in range(n_abnormal)},
+        )
+    arcs = []
+    next_id = roots + 1
+    for _ in range(layers):
+        layer = list(range(next_id, next_id + width))
+        next_id += width
+        cover = rng.sample(above, len(above))
+        for i, x in enumerate(layer):
+            variables[x] = Variable(id=x, kind="X", label=f"x {x}", states=_states(2))
+            chosen = cover[i * fan_in:(i + 1) * fan_in]
+            rest = [p for p in above if p not in chosen]
+            chosen += rng.sample(rest, min(fan_in, len(above)) - len(chosen))
+            for parent in chosen:
+                matrix = {
+                    1: {j: rng.uniform(0.2, 0.9) for j in variables[parent].abnormal_state_ids}
+                }
+                weight = rng.choice([0.5, 1.0, 2.0])
+                arcs.append(CausalArc(child=x, parent=parent, weight=weight, matrix=matrix))
+        above = layer
+    return KnowledgeBase(variables, arcs)
+
+
+def deep_evidence(kb: KnowledgeBase) -> EvidenceSnapshot:
+    """3 abnormal and 2 normal readings on the last layer, in reach of the
+    root that reaches most of it: the deepest evidence the KB offers."""
+    parents = {a.parent for a in kb.arcs}
+    last = [v for v, var in kb.variables.items() if var.kind == "X" and v not in parents]
+    reach = {
+        sub.root: [x for x in last if x in sub.variables] for sub in decompose(kb)
+    }
+    root = max(reach, key=lambda r: (len(reach[r]), -r))
+    chosen = (reach[root] + [x for x in last if x not in reach[root]])[:5]
+    return EvidenceSnapshot.build(1, {x: 1 if i < 3 else 0 for i, x in enumerate(chosen)})
+
+
 def random_evidence(rng: random.Random, kb: KnowledgeBase) -> EvidenceSnapshot:
     x_vars = [v for v in kb.variables.values() if v.kind == "X"]
     observed = [v for v in x_vars if rng.random() < 0.7] or [rng.choice(x_vars)]

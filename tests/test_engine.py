@@ -1,6 +1,12 @@
 """Inference engine: slicing, layered merging, expansion, ranking, prediction."""
 
+import math
+import random
+import time
+
 import pytest
+
+import ducg.engine
 
 from ducg import (
     ArcLiteral,
@@ -20,7 +26,9 @@ from ducg import (
     check_valid,
     decompose,
     eval_expression,
+    conjoin,
     expand,
+    factored_joints,
     merge_cubic,
     predict,
     rank_hypotheses,
@@ -28,6 +36,7 @@ from ducg import (
 )
 
 from conftest import run_scenario
+from generators import deep_evidence, layered_kb
 
 
 def snapshot(tick, assignments):
@@ -255,6 +264,111 @@ def test_rank_requires_graphs():
     kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}})], extra_x=(5,))
     with pytest.raises(EmptyHypothesisSpaceError):
         rank_hypotheses([], snapshot(1, {5: 1}), kb)
+
+
+def _counting_expand(monkeypatch):
+    calls = []
+
+    def counted(ev, cubic, kb):
+        calls.append(cubic.root)
+        return expand(ev, cubic, kb)
+
+    monkeypatch.setattr(ducg.engine, "expand", counted)
+    return calls
+
+
+# Every child has several routes, so the route bound (3·5·6·4·4) is far above
+# the cutoff below which slices stay on ``expand``; 4<->5 is a 2-cycle.
+_LOOPED_ARCS = [
+    CausalArc(2, 1, 1.0, {1: {1: 0.6, 2: 0.3}}),
+    CausalArc(3, 1, 1.0, {1: {1: 0.4, 2: 0.7}}),
+    CausalArc(3, 2, 2.0, {1: {1: 0.5}}),
+    CausalArc(4, 2, 1.0, {1: {1: 0.6}}),
+    CausalArc(4, 3, 0.5, {1: {1: 0.8}}),
+    CausalArc(5, 3, 1.0, {1: {1: 0.7}}),
+    CausalArc(5, 4, 1.0, {1: {1: 0.4}}),
+    CausalArc(6, 4, 1.0, {1: {1: 0.9}}),
+    CausalArc(6, 5, 2.0, {1: {1: 0.3}}),
+]
+_BACK_ARC = CausalArc(4, 5, 1.0, {1: {1: 0.5}})
+
+
+def test_rank_keeps_cyclic_slices_on_expand(monkeypatch):
+    kb = _inline_kb(_LOOPED_ARCS + [_BACK_ARC], extra_x=(2, 3, 4, 5, 6), root_states=3)
+    ev = snapshot(1, {3: 0, 6: 1})
+    cubic = merge_cubic(None, simplify(subs_by_root(kb)[1], ev))
+    assert _BACK_ARC in cubic.latest.arcs
+    expr = expand(ev, cubic, kb)
+    zeta = eval_expression(expr, kb)
+
+    calls = _counting_expand(monkeypatch)
+    results = rank_hypotheses([cubic], ev, kb)
+    assert calls == [1]
+    assert [(h.state, h.zeta, h.joint) for h in results] == sorted(
+        (
+            (s, zeta, eval_expression(conjoin(expr, RootLiteral(1, s)), kb))
+            for s in (1, 2)
+        ),
+        key=lambda row: -row[2],
+    )
+
+
+def test_rank_keeps_small_slices_on_expand(tworoot_kb, monkeypatch):
+    ev = snapshot(17, T3)
+    slices = (simplify(sub, ev) for sub in decompose(tworoot_kb))
+    graphs = [merge_cubic(None, s) for s in slices if s.valid]
+    calls = _counting_expand(monkeypatch)
+    rank_hypotheses(graphs, ev, tworoot_kb)
+    assert calls == [g.root for g in graphs] and calls
+
+
+def test_rank_evaluates_large_acyclic_slices_by_elimination(monkeypatch):
+    kb = _inline_kb(_LOOPED_ARCS, extra_x=(2, 3, 4, 5, 6), root_states=3)
+    ev = snapshot(1, {3: 0, 6: 1})
+    cubic = merge_cubic(None, simplify(subs_by_root(kb)[1], ev))
+    expr = expand(ev, cubic, kb)
+
+    calls = _counting_expand(monkeypatch)
+    results = rank_hypotheses([cubic], ev, kb)
+    assert calls == []
+    assert {h.state for h in results} == {1, 2}
+    for h in results:
+        assert math.isclose(h.zeta, eval_expression(expr, kb), rel_tol=1e-12)
+        assert math.isclose(
+            h.joint,
+            eval_expression(conjoin(expr, RootLiteral(1, h.state)), kb),
+            rel_tol=1e-12,
+        )
+
+
+def test_deep_acyclic_tick_is_diagnosed_within_a_second():
+    """One tick of (8,4x8,3) shape once expanded into ~10^5 products and
+    raised CycleLimitError after tens of seconds."""
+    kb = layered_kb(random.Random(1), roots=8, layers=4, width=8, fan_in=3)
+    session = DiagnosisSession(kb)
+    started = time.perf_counter()
+    report = session.diagnose_tick(deep_evidence(kb))
+    assert time.perf_counter() - started < 1.0
+    assert report.hypotheses
+
+
+def test_factored_joints_match_expand_on_deep_slices():
+    kb = layered_kb(random.Random(1), roots=8, layers=4, width=6, fan_in=2)
+    ev = deep_evidence(kb)
+    compared = 0
+    for sub in decompose(kb):
+        s = simplify(sub, ev)
+        if not s.valid:
+            continue
+        cubic = merge_cubic(None, s)
+        joints = factored_joints(ev, cubic, kb)
+        expr = expand(ev, cubic, kb)
+        assert math.isclose(sum(joints.values()), eval_expression(expr, kb), rel_tol=1e-12)
+        for state, joint in joints.items():
+            expected = eval_expression(conjoin(expr, RootLiteral(sub.root, state)), kb)
+            assert math.isclose(joint, expected, rel_tol=1e-12, abs_tol=0.0)
+        compared += 1
+    assert compared >= 3
 
 
 # --- session -----------------------------------------------------------------------
