@@ -1,10 +1,10 @@
 """Per-tick causal inference over time-layered fault graphs.
 
-For every fault root the engine keeps a *cubic* graph: the stack of per-tick
-simplified slices joined by linkage edges. Each triggering evidence snapshot
-is explained on the latest slice of every surviving root, by one of two
-evaluators that give its evidence probability ζ and the joint of each fault
-state, and the fault states are ranked:
+For every fault root the engine keeps a *cubic* graph: a persistent chain of
+per-tick simplified slices, appended in O(1) and all kept, whose linkage
+edges are derived on read. Each triggering snapshot is explained on the latest
+slice of every surviving root by one of two evaluators, which give its evidence
+probability ζ and the joint of each fault state; the states are then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
@@ -94,18 +94,37 @@ class LinkEdge:
     to_tick: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicGraph:
-    """The time-layered explanation graph of one root: slices + linkage."""
+    """One root's time-layered graph: its latest slice and the graph it extends,
+    so appending copies nothing. ``==`` is identity and never walks the chain."""
 
     root: int
-    slices: tuple[SliceGraph, ...]
-    linkage: tuple[LinkEdge, ...]
-    current_evidence: Mapping[int, int]
+    latest: SliceGraph
+    previous: Optional[CubicGraph] = field(default=None, repr=False)
 
     @property
-    def latest(self) -> SliceGraph:
-        return self.slices[-1]
+    def slices(self) -> tuple[SliceGraph, ...]:
+        """Every slice, oldest first."""
+        node, stack = self, []
+        while node is not None:
+            stack.append(node.latest)
+            node = node.previous
+        return tuple(reversed(stack))
+
+    @property
+    def linkage(self) -> tuple[LinkEdge, ...]:
+        """An edge per variable shared by consecutive slices, in slice, then id order."""
+        slices = self.slices
+        return tuple(
+            LinkEdge(var=v, from_tick=a.tick, to_tick=b.tick)
+            for a, b in zip(slices, slices[1:])
+            for v in sorted(a.variables & b.variables)
+        )
+
+    @property
+    def current_evidence(self) -> Mapping[int, int]:
+        return self.latest.states
 
 
 def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
@@ -197,30 +216,13 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
 
 
 def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph) -> CubicGraph:
-    """Append a slice to a root's cubic graph, linking shared variables."""
-    if prev is None:
-        return CubicGraph(
-            root=new_slice.root,
-            slices=(new_slice,),
-            linkage=(),
-            current_evidence=dict(new_slice.states),
-        )
-    if prev.root != new_slice.root:
+    """Append a slice to a root's cubic graph in O(1); earlier slices are shared."""
+    if prev is not None and prev.root != new_slice.root:
         raise RootMismatchError(
             f"cannot merge slice of root {new_slice.root} into cubic graph of "
             f"root {prev.root}"
         )
-    last = prev.latest
-    shared = sorted(last.variables & new_slice.variables)
-    links = prev.linkage + tuple(
-        LinkEdge(var=v, from_tick=last.tick, to_tick=new_slice.tick) for v in shared
-    )
-    return CubicGraph(
-        root=prev.root,
-        slices=prev.slices + (new_slice,),
-        linkage=links,
-        current_evidence=dict(new_slice.states),
-    )
+    return CubicGraph(root=new_slice.root, latest=new_slice, previous=prev)
 
 
 def check_valid(cubic: CubicGraph, ev: EvidenceSnapshot) -> bool:

@@ -21,6 +21,7 @@ tests and deterministic compilation output.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -304,20 +305,10 @@ class KnowledgeBase:
         for arc in self.arcs:
             self._parents.setdefault(arc.child, []).append(arc)
 
-        # Structural (KB-wide) causal-mass denominators. Inference recomputes
-        # these per retained graph; the KB-level sums describe the raw model.
-        self.r_denominators: dict[int, float] = {
-            child: sum(a.weight for a in arcs_in)
-            for child, arcs_in in self._parents.items()
-        }
-
         self.measure_points: dict[str, int] = {}
         for v in self.variables.values():
             if v.measure_point and v.measure_point not in self.measure_points:
                 self.measure_points[v.measure_point] = v.id
-
-    def in_arcs(self, var: int) -> tuple[CausalArc, ...]:
-        return tuple(self._parents.get(var, ()))
 
     def roots(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables.values() if v.kind == "B")
@@ -901,14 +892,20 @@ def decompose(kb: KnowledgeBase) -> list[SubDUCG]:
                 if arc.child not in closure:
                     closure.add(arc.child)
                     frontier.append(arc.child)
-        # keep default causes feeding the closure
-        for arc in kb.arcs:
-            if arc.child in closure and arc.parent not in closure:
-                if kb.variables[arc.parent].kind == "D":
+        # keep default causes feeding the closure, visiting children in id
+        # order: one that joins below the current child is not visited
+        queue = sorted(closure)
+        while queue:
+            child = heapq.heappop(queue)
+            for arc in kb._parents.get(child, ()):
+                if arc.parent not in closure and kb.variables[arc.parent].kind == "D":
                     closure.add(arc.parent)
-        members = {i: kb.variables[i] for i in sorted(closure)}
+                    if arc.parent > child:
+                        heapq.heappush(queue, arc.parent)
+        ordered = sorted(closure)
+        members = {i: kb.variables[i] for i in ordered}
         arcs = tuple(
-            a for a in kb.arcs if a.child in closure and a.parent in closure
+            a for c in ordered for a in kb._parents.get(c, ()) if a.parent in closure
         )
         subs.append(SubDUCG(root=root, variables=members, arcs=arcs))
     return subs

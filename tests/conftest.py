@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,25 @@ from ducg import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv, stdin_text=None, cwd=None):
+    """Run ``python -m ducg`` in a child process that imports this checkout's
+    ``src/`` first, whether or not the package is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "ducg", *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+        timeout=120,
+    )
 
 
 def run_scenario(kb, csv_path, **ingest_kwargs):

@@ -6,8 +6,6 @@ conftest hook prints a PASS/FAIL line per criterion at the end of the run.
 
 import json
 import random
-import subprocess
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -33,7 +31,7 @@ from ducg import (
     validate_kb,
 )
 
-from conftest import run_scenario
+from conftest import run_cli, run_scenario
 from generators import check_engine_against_oracle, random_evidence, random_kb
 
 DATA = Path(__file__).parent / "data"
@@ -42,16 +40,6 @@ JOINT_TOL = 1e-6
 POSTERIOR_TOL = 1e-3
 ORACLE_TOL = 1e-9
 NORMALIZATION_TOL = 1e-9
-
-
-def run_cli(*argv, stdin_text=None):
-    return subprocess.run(
-        [sys.executable, "-m", "ducg", *argv],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 # --- criterion 1: reference scenario probabilities -------------------------------

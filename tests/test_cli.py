@@ -1,24 +1,13 @@
 """End-to-end command line behaviour, run through real subprocesses."""
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_cli
+
 DATA = Path(__file__).parent / "data"
-
-
-def run_cli(*argv, stdin_text=None, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "ducg", *argv],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=60,
-    )
 
 
 def json_lines(stdout):

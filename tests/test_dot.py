@@ -1,6 +1,14 @@
 """DOT rendering of the layered explanation graphs."""
 
+from pathlib import Path
+
+import pytest
+
 from ducg import export_dot
+
+from conftest import run_cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def final_cubic(session):
@@ -57,3 +65,20 @@ def test_dot_renders_single_slice(tworoot_kb):
     assert "style=dashed" not in dot
     assert '"t1_v1" -> "t1_v5";' in dot
     assert dot.endswith("}\n")
+
+
+@pytest.mark.parametrize("fixture", ["tworoot", "plant24"])
+def test_replay_dot_files_match_golden_bytes(fixture, tmp_path):
+    proc = run_cli(
+        "replay",
+        "--kb", str(DATA / f"{fixture}_kb.json"),
+        "--signals", str(DATA / f"{fixture}_signals.csv"),
+        "--no-timing",
+        "--dot-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0
+    golden = DATA / "dot" / fixture
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name

@@ -17,6 +17,7 @@ from ducg import (
     EvidenceSnapshot,
     InvalidKnowledgeBaseError,
     KnowledgeBase,
+    LinkEdge,
     NoAbnormalEvidenceError,
     Product,
     RootLiteral,
@@ -146,6 +147,32 @@ def test_merge_rejects_foreign_slice(tworoot_kb):
     c = merge_cubic(None, simplify(subs[1], snapshot(14, T1)))
     with pytest.raises(RootMismatchError):
         merge_cubic(c, simplify(subs[2], snapshot(16, T2)))
+
+
+def test_merge_builds_a_persistent_chain(tworoot_kb):
+    subs = subs_by_root(tworoot_kb)
+    slices = [simplify(subs[2], snapshot(t, (T1, T3)[t % 2])) for t in range(3000)]
+    c = None
+    for s in slices:
+        extended = merge_cubic(c, s)
+        assert extended.previous is c
+        c = extended
+
+    # what appending to stored tuples gives
+    want_slices, want_links = (), ()
+    for s in slices:
+        if want_slices:
+            last = want_slices[-1]
+            want_links += tuple(
+                LinkEdge(var=v, from_tick=last.tick, to_tick=s.tick)
+                for v in sorted(last.variables & s.variables)
+            )
+        want_slices += (s,)
+    assert c.slices == want_slices
+    assert c.linkage == want_links
+    assert c.current_evidence == slices[-1].states
+    assert "previous" not in repr(c)
+    assert c == c and c != merge_cubic(c.previous, c.latest)
 
 
 def test_check_valid_follows_latest_slice(tworoot_kb):

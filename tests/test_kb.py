@@ -299,6 +299,56 @@ def test_decompose_plant_has_one_sub_per_root(plant_kb):
     assert len(decompose(plant_kb)) == 24
 
 
+def scan_decompose(kb):
+    """The whole-KB-scan reference: per root, one sorted pass over every arc
+    for default causes and one for the subgraph's arcs."""
+    subs = []
+    for root in kb.roots():
+        closure, frontier = {root}, [root]
+        while frontier:
+            var = frontier.pop()
+            for arc in kb.arcs:
+                if arc.parent == var and arc.child not in closure:
+                    closure.add(arc.child)
+                    frontier.append(arc.child)
+        for arc in kb.arcs:
+            if arc.child in closure and arc.parent not in closure:
+                if kb.variables[arc.parent].kind == "D":
+                    closure.add(arc.parent)
+        arcs = tuple(a for a in kb.arcs if a.child in closure and a.parent in closure)
+        subs.append((root, sorted(closure), arcs))
+    return subs
+
+
+def test_decompose_matches_whole_kb_scans(tworoot_kb, plant_kb):
+    import random
+
+    from generators import random_kb
+
+    # D4 feeds D3 (visited after X2, so kept); D7 feeds D5 (visited before
+    # X6 pulls D5 in, so left out)
+    chained = KnowledgeBase(
+        {v.id: v for v in [make_var(1, "B", prior={1: 0.1}), make_var(2), make_var(6)]
+         + [make_var(d, "D") for d in (3, 4, 5, 7)]},
+        [
+            CausalArc(2, 1, 1.0, {1: {1: 0.5}}),
+            CausalArc(2, 4, 1.0, {1: {1: 0.5}}),
+            CausalArc(4, 3, 1.0, {1: {1: 0.5}}),
+            CausalArc(6, 1, 1.0, {1: {1: 0.5}}),
+            CausalArc(6, 5, 1.0, {1: {1: 0.5}}),
+            CausalArc(5, 7, 1.0, {1: {1: 0.5}}),
+        ],
+    )
+    assert sorted(decompose(chained)[0].variables) == [1, 2, 3, 4, 5, 6]
+    rng = random.Random(5)
+    kbs = [tworoot_kb, plant_kb, chained] + [
+        random_kb(rng, with_default_cause=True) for _ in range(60)
+    ]
+    for kb in kbs:
+        got = [(s.root, list(s.variables), s.arcs) for s in decompose(kb)]
+        assert got == scan_decompose(kb)
+
+
 def test_compile_inverts_decompose(tworoot_kb, tworoot_text):
     rebuilt = compile_kb(decompose(tworoot_kb))
     assert serialize_kb(rebuilt) == tworoot_text
@@ -375,3 +425,4 @@ def test_conditional_arc_round_trips(tworoot_text):
     again = parse_kb(serialize_kb(kb))
     assert serialize_kb(again) == serialize_kb(kb)
     assert again.arcs[0].condition is not None
+

@@ -1,15 +1,9 @@
-import subprocess
-import sys
-
 import ducg
+
+from conftest import run_cli
 
 
 def test_version_flag_reports_package_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ducg", "--version"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ducg {ducg.__version__}"
