@@ -112,7 +112,7 @@ def _run_feed(
     recovery_retrigger: bool = True,
     session: DiagnosisSession | None = None,
 ) -> int:
-    session = session or DiagnosisSession(kb)
+    session = session or DiagnosisSession(kb, history=dot_dir is not None)
     prev = None
     exit_code = 0
 

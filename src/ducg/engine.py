@@ -1,10 +1,12 @@
 """Per-tick causal inference over time-layered fault graphs.
 
 For every fault root the engine keeps a *cubic* graph: a persistent chain of
-per-tick simplified slices, appended in O(1) and all kept, whose linkage
-edges are derived on read. Each triggering snapshot is explained on the latest
-slice of every surviving root by one of two evaluators, which give its evidence
-probability ζ and the joint of each fault state; the states are then ranked:
+per-tick simplified slices, appended in O(1), whose linkage edges are derived
+on read. A session keeps the earlier slices only when asked to (DOT export
+draws them); otherwise each root holds just its latest slice. Each triggering
+snapshot is explained on the latest slice of every surviving root by one of
+two evaluators, which give its evidence probability ζ and the joint of each
+fault state; the states are then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
@@ -16,6 +18,12 @@ probability ζ and the joint of each fault state; the states are then ranked:
   causal network and returns every joint in one pass. It takes the other,
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
+
+A session puts a per-root memo (``EvaluationMemo``) in front of the evaluator:
+a slice with the retained arcs and evidence states of one of the root's
+``_MEMO_PER_ROOT`` most recently used evaluations reuses that exact ζ and
+those joints, so a chattering channel that keeps bringing the same evidence
+back is evaluated once per pattern.
 
 Slices and ranking follow these rules:
 
@@ -32,11 +40,12 @@ Slices and ranking follow these rules:
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from math import prod
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     ArcLiteral,
@@ -546,19 +555,68 @@ def _evaluate(
     }
 
 
+# Evaluations kept per root, a bound however long a session runs. The value is
+# chosen, not tuned: long-stream cycles through 2 evidence patterns per root,
+# and any cap of 2 or more gives it the same hit share.
+_MEMO_PER_ROOT = 16
+
+
+class EvaluationMemo:
+    """Each root's most recently used ``_evaluate`` results, at most
+    ``_MEMO_PER_ROOT`` of them, the least recently used evicted first.
+
+    The key is the ordered identities of the slice's retained arcs plus its
+    evidence states. ``_evaluate`` reads the evidence only on the slice's
+    variables, which lie in the root's scope and include every evidenced one
+    there, so on them it equals ``states``; the arcs carry every condition
+    outcome, also of conditions on variables outside the scope. Each entry
+    holds its arcs, so their identities cannot be reused while it lives.
+    """
+
+    def __init__(self) -> None:
+        self._by_root: dict[int, OrderedDict] = {}  # root -> key -> (arcs, (ζ, joints))
+
+    def evaluate(
+        self, ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
+    ) -> tuple[float, dict[int, float]]:
+        g = cubic.latest
+        key = (tuple(map(id, g.arcs)), tuple(g.states.items()))
+        entries = self._by_root.get(cubic.root)
+        if entries is None:
+            entries = self._by_root[cubic.root] = OrderedDict()
+        hit = entries.get(key)
+        if hit is not None:
+            entries.move_to_end(key)
+            return hit[1]
+        value = _evaluate(ev, cubic, kb)
+        entries[key] = (g.arcs, value)
+        if len(entries) > _MEMO_PER_ROOT:
+            entries.popitem(last=False)
+        return value
+
+    def keep_only(self, roots: Collection[int]) -> None:
+        """Forget every root outside ``roots``."""
+        self._by_root = {r: e for r, e in self._by_root.items() if r in roots}
+
+
 def rank_hypotheses(
-    graphs: Sequence[CubicGraph], ev: EvidenceSnapshot, kb: KnowledgeBase
+    graphs: Sequence[CubicGraph],
+    ev: EvidenceSnapshot,
+    kb: KnowledgeBase,
+    memo: Optional[EvaluationMemo] = None,
 ) -> list[HypothesisResult]:
     """Score every abnormal root state of every surviving graph.
 
     posterior = xi · joint / zeta, with xi = zeta / Σ zeta over graphs of
     positive evidence probability. Hypotheses with zero joint are dropped.
+    ζ and the joints come through ``memo`` when one is given.
     """
     if not graphs:
         raise EmptyHypothesisSpaceError("no graphs survive the evidence")
+    evaluate = _evaluate if memo is None else memo.evaluate
     evaluated: list[tuple[CubicGraph, float, dict[int, float]]] = []
     for cubic in graphs:
-        zeta, joints = _evaluate(ev, cubic, kb)
+        zeta, joints = evaluate(ev, cubic, kb)
         if zeta > 0.0:
             evaluated.append((cubic, zeta, joints))
     if not evaluated:
@@ -605,10 +663,13 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good, along with its accumulated slices.
+    good, along with its slices and memoised evaluations. With ``history``
+    each root's cubic graph keeps every slice, which DOT export draws;
+    without it only the latest, so memory stays flat however long the
+    session runs.
     """
 
-    def __init__(self, kb: KnowledgeBase, *, validate: bool = True):
+    def __init__(self, kb: KnowledgeBase, *, validate: bool = True, history: bool = False):
         if validate:
             violations = validate_kb(kb)
             if violations:
@@ -617,6 +678,8 @@ class DiagnosisSession:
         self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
         self._cubics: dict[int, CubicGraph] = {}
         self._alive: set[int] | None = None  # None until the first diagnosis
+        self._history = history
+        self._memo = EvaluationMemo()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
@@ -635,18 +698,21 @@ class DiagnosisSession:
             s = simplify(self._subs[root], ev)
             if not s.valid:
                 continue
-            cubic = merge_cubic(self._cubics.get(root), s)
+            cubic = merge_cubic(self._cubics.get(root) if self._history else None, s)
             if not check_valid(cubic, ev):
                 continue
             survivors[root] = cubic
 
         try:
-            hypotheses = rank_hypotheses(list(survivors.values()), ev, self.kb)
+            hypotheses = rank_hypotheses(
+                list(survivors.values()), ev, self.kb, memo=self._memo
+            )
         except EmptyHypothesisSpaceError:
             hypotheses = []
         ranked_roots = {h.root for h in hypotheses}
         self._cubics = {r: survivors[r] for r in sorted(ranked_roots)}
         self._alive = set(ranked_roots)
+        self._memo.keep_only(ranked_roots)
 
         if len(ranked_roots) == 1:
             status = "diagnosed"
@@ -676,8 +742,9 @@ def predict(
 
     Returns ``(var, state, probability)`` for every abnormal state of every
     descendant that is not currently abnormal, sorted by descending
-    probability. Self-arcs are excluded, and weight denominators use only the
-    subgraph's own arcs, mirroring the per-graph convention of diagnosis.
+    probability. Self-arcs are excluded, weight denominators use only the
+    subgraph's own arcs, and a default cause is always present, mirroring
+    the conventions of diagnosis.
     """
     if hyp.var != cubic.root:
         raise RootMismatchError(
@@ -693,6 +760,8 @@ def predict(
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == hyp.var:
             return 1.0 if state == hyp.state else 0.0
+        if kb.variables[var].kind == "D":
+            return 1.0
         total = 0.0
         for arc in in_arcs.get(var, ()):
             if arc.parent in seen:

@@ -55,9 +55,10 @@ def run_cli(*argv, stdin_text=None, cwd=None):
     )
 
 
-def run_scenario(kb, csv_path, **ingest_kwargs):
-    """Replay a signal file through a fresh session; return triggered reports."""
-    session = DiagnosisSession(kb)
+def run_scenario(kb, csv_path, *, history=True, **ingest_kwargs):
+    """Replay a signal file through a fresh session; return triggered reports.
+    ``history`` keeps every slice, which DOT export and slice tests read."""
+    session = DiagnosisSession(kb, history=history)
     reports = []
     prev = None
     lines = Path(csv_path).read_text().splitlines()

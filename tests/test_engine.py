@@ -1,8 +1,10 @@
 """Inference engine: slicing, layered merging, expansion, ranking, prediction."""
 
+import gc
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,8 +13,11 @@ import ducg.engine
 from ducg import (
     ArcLiteral,
     CausalArc,
+    Condition,
+    ConditionLiteral,
     CubicGraph,
     DiagnosisSession,
+    EmptyHypothesisSpaceError,
     EventExpression,
     EvidenceSnapshot,
     InvalidKnowledgeBaseError,
@@ -37,7 +42,7 @@ from ducg import (
 )
 
 from conftest import run_scenario
-from generators import deep_evidence, layered_kb
+from generators import deep_evidence, layered_kb, random_evidence, random_kb
 
 
 def snapshot(tick, assignments):
@@ -460,6 +465,146 @@ def test_plant_scenario_narrows_to_single_root(plant_kb, plant_signals):
     assert reports[-1].status == "diagnosed"
     assert [(h.root, h.state) for h in reports[-1].hypotheses] == [(1, 1)]
     assert reports[-1].hypotheses[0].posterior == pytest.approx(1.0)
+
+
+# --- evaluation memo and session memory ----------------------------------------------
+
+
+def _uncached_hypotheses(kb, snapshots):
+    """The session's ranking re-derived tick by tick without a memo: the
+    reference a memoised session must equal float for float."""
+    subs = subs_by_root(kb)
+    alive = sorted(subs)
+    out = []
+    for ev in snapshots:
+        slices = (simplify(subs[root], ev) for root in alive)
+        graphs = [merge_cubic(None, s) for s in slices if s.valid]
+        try:
+            hypotheses = tuple(rank_hypotheses(graphs, ev, kb))
+        except EmptyHypothesisSpaceError:
+            hypotheses = ()
+        alive = sorted({h.root for h in hypotheses})
+        out.append(hypotheses)
+    return out
+
+
+def _counting_evaluate(monkeypatch):
+    calls = []
+    evaluate = ducg.engine._evaluate
+
+    def counted(ev, cubic, kb):
+        calls.append(cubic.root)
+        return evaluate(ev, cubic, kb)
+
+    monkeypatch.setattr(ducg.engine, "_evaluate", counted)
+    return calls
+
+
+def test_memoised_session_equals_uncached_on_alternating_stream(tworoot_kb, monkeypatch):
+    snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(2000)]
+    calls = _counting_evaluate(monkeypatch)
+    session = DiagnosisSession(tworoot_kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots]
+    assert len(calls) == 4  # two roots, two evidence patterns
+    assert [r.hypotheses for r in reports] == _uncached_hypotheses(tworoot_kb, snapshots)
+    assert session.alive_roots == (1, 2)
+
+
+@pytest.mark.parametrize("with_default_cause", [False, True])
+def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, monkeypatch):
+    """200 random KBs, each fed 12 ticks drawn from three evidence patterns."""
+    calls = _counting_evaluate(monkeypatch)
+    memoised = uncached = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        kb = random_kb(rng, with_default_cause=with_default_cause)
+        patterns = [random_evidence(rng, kb).assignments for _ in range(3)]
+        snapshots = [snapshot(t, rng.choice(patterns)) for t in range(12)]
+        session = DiagnosisSession(kb)
+        calls.clear()
+        reports = [session.diagnose_tick(ev) for ev in snapshots]
+        memoised += len(calls)
+        calls.clear()
+        assert [r.hypotheses for r in reports] == _uncached_hypotheses(kb, snapshots), seed
+        uncached += len(calls)
+    assert memoised < uncached / 2
+
+
+def test_memo_misses_when_an_out_of_scope_condition_flips(monkeypatch):
+    """X3 lies outside B1's graph, so B1's evidence states stay {2: 1}; but
+    observing X3 normal deletes the arc it conditions, and ζ changes."""
+    condition = Condition(((ConditionLiteral(3, 1),),))
+    kb = _inline_kb(
+        [
+            CausalArc(2, 1, 1.0, {1: {1: 0.5}}),
+            CausalArc(2, 1, 1.0, {1: {1: 0.9}}, condition=condition),
+        ],
+        extra_x=(2, 3),
+    )
+    snapshots = [snapshot(t, ({2: 1}, {2: 1, 3: 0})[t % 2]) for t in range(4)]
+    calls = _counting_evaluate(monkeypatch)
+    session = DiagnosisSession(kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots]
+    assert calls == [1, 1]
+    assert [r.hypotheses[0].zeta for r in reports] == pytest.approx([0.14, 0.1, 0.14, 0.1])
+    assert [r.hypotheses for r in reports] == _uncached_hypotheses(kb, snapshots)
+
+
+def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
+    cap = ducg.engine._MEMO_PER_ROOT
+    observed = tuple(range(2, 2 + (cap + 1).bit_length()))
+    kb = _inline_kb([CausalArc(x, 1, 1.0, {1: {1: 0.6}}) for x in observed], extra_x=observed)
+    patterns = [
+        {x: (n >> i) & 1 for i, x in enumerate(observed)} for n in range(1, cap + 2)
+    ]
+    calls = _counting_evaluate(monkeypatch)
+    session = DiagnosisSession(kb)
+
+    def feed(*indices):
+        for i in indices:
+            session.diagnose_tick(snapshot(i, patterns[i]))
+
+    feed(*range(cap))
+    assert len(calls) == cap
+    feed(0)  # a hit, which makes pattern 1 the least recently used
+    assert len(calls) == cap
+    feed(cap)  # a miss past the cap evicts pattern 1
+    feed(0)
+    assert len(calls) == cap + 1
+    feed(1)
+    assert len(calls) == cap + 2
+    assert len(session._memo._by_root[1]) == cap
+
+
+def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb):
+    session = DiagnosisSession(tworoot_kb)
+    session.diagnose_tick(snapshot(1, T1))
+    assert set(session._memo._by_root) == {1, 2}
+    session.diagnose_tick(snapshot(2, T3))
+    assert session.alive_roots == (2,)
+    assert set(session._memo._by_root) == {2}
+
+
+def test_long_session_memory_is_bounded(tworoot_kb):
+    """16,000 triggers hold under 1 MiB: without history a root keeps only
+    its latest slice, and the memo is capped."""
+    pattern = (T1, T2)
+    session = DiagnosisSession(tworoot_kb)
+    for t in range(16):
+        session.diagnose_tick(snapshot(t, pattern[t % 2]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(16, 16_000):
+            session.diagnose_tick(snapshot(t, pattern[t % 2]))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert session.alive_roots == (1, 2)
+    assert len(session.cubic(2).slices) == 1
+    assert held < 1024 * 1024
 
 
 # --- prediction ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ from ducg import (
     CausalArc,
     Condition,
     ConditionLiteral,
+    CubicGraph,
     EvidenceSnapshot,
     KnowledgeBase,
     RootLiteral,
+    SliceGraph,
     StateDef,
     Variable,
     conjoin,
@@ -20,6 +22,7 @@ from ducg import (
     expand,
     factored_joints,
     merge_cubic,
+    predict,
     rank_hypotheses,
     simplify,
 )
@@ -97,6 +100,38 @@ def test_factored_expand_and_oracle_agree(with_default_cause):
                     )
             compared += 1
     assert compared >= 350
+
+
+@pytest.mark.parametrize("with_default_cause", [False, True])
+def test_predict_matches_oracle_forward_marginals(with_default_cause):
+    """Every X marginal ``predict`` gives for a certain root state equals the
+    oracle's Pr{X = k ∧ root = s} / Pr{root = s} on the root's subgraph, on
+    300 random KBs; a default cause counts as present, as in diagnosis."""
+    compared = 0
+    for seed in range(300):
+        kb = random_kb(random.Random(seed), with_default_cause=with_default_cause)
+        for sub in decompose(kb):
+            arcs = [a for a in sub.arcs if a.child != a.parent]
+            # no evidence yet, so predict scores every observable
+            quiet = SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
+            root = kb.variables[sub.root]
+            for s in root.abnormal_state_ids:
+                rows = predict(CubicGraph(sub.root, quiet), kb, RootLiteral(sub.root, s))
+                got = {(v, k): p for v, k, p in rows}
+                for v in sorted(sub.variables):
+                    if kb.variables[v].kind != "X":
+                        continue
+                    for k in kb.variables[v].abnormal_state_ids:
+                        joint = enumerate_joint(
+                            kb, sub.variables, arcs, {v: k}, hypothesis=(sub.root, s)
+                        )
+                        want = joint / root.prior[s]
+                        assert abs(got.get((v, k), 0.0) - want) <= 1e-9, (
+                            f"seed {seed} root {sub.root} state {s}: X{v}={k} "
+                            f"predict {got.get((v, k), 0.0)}, oracle {want}"
+                        )
+                        compared += 1
+    assert compared >= 1500
 
 
 @pytest.mark.parametrize("second_intensity", [0.6, 0.3])
