@@ -442,65 +442,93 @@ def factored_joints(
     and evidence clamps domains. Every variable except the root is summed
     out, smallest resulting factor first. On an acyclic slice this equals
     what ``expand`` builds, up to float summation order.
+
+    The float operations and their order are fixed, so every joint is the
+    same to the last bit whatever the bookkeeping around them:
+
+    * factors are created one per slice variable in id order, then one per
+      elimination step, appended; clamped variables are left out of scopes;
+    * each step eliminates the variable with the smallest (resulting factor
+      size, id), and the new factor's scope is sorted;
+    * a family cell sums its arcs' (w/r)·intensity in slice order, from 0;
+    * an eliminated cell multiplies the joined factors in creation order,
+      from 1.0, then sums over the variable's states in state order;
+    * each joint multiplies the remaining factors in creation order.
+
+    Each step updates only what it touches: the live factors holding each
+    variable, and the neighbours and resulting size of each variable in the
+    new scope.
     """
     g = cubic.latest
-    evidence = {
-        v: s for v, s in ev.assignments.items() if v in g.variables
-    }
-    in_arcs = _in_arcs(g)
+    variables = kb.variables
+    clamps = ev.assignments
     domains = {
-        v: (evidence[v],) if v in evidence else kb.variables[v].state_ids
+        v: (clamps[v],) if v in clamps else variables[v].state_ids
         for v in sorted(g.variables)
     }
+    width = {v: len(domain) for v, domain in domains.items()}
+    arcs_of: dict[int, list[CausalArc]] = {}
+    for arc in g.arcs:
+        arcs_of.setdefault(arc.child, []).append(arc)
 
-    # Factors are (scope, table); clamped variables are left out of scopes.
-    factors: list[tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = []
-    for v in domains:
-        is_root = kb.variables[v].kind in ROOT_KINDS
-        arcs = [] if is_root else [arc for arc, _ in in_arcs.get(v, ())]
-        r = sum(arc.weight for arc in arcs)
-        family = (v,) + tuple(sorted({arc.parent for arc in arcs}))
-        scope = tuple(u for u in family if len(domains[u]) > 1)
-        table = {}
-        for states in product(*(domains[u] for u in family)):
-            a = dict(zip(family, states))
+    # Live factors by creation id, each (scope, table).
+    factors: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
+    for v, domain in domains.items():
+        is_root = variables[v].kind in ROOT_KINDS
+        arcs = () if is_root else arcs_of.get(v, ())
+        if arcs:
+            r = sum(arc.weight for arc in arcs)
+            family = (v, *sorted({arc.parent for arc in arcs}))
+            shares = [(arc.weight / r, family.index(arc.parent), arc) for arc in arcs]
+            scope = tuple([u for u in family if width[u] > 1])
+            key = _positions(scope, family)
+            table = {
+                key(states): sum([
+                    share * completed_intensity(arc, states[0], states[i])
+                    for share, i, arc in shares
+                ])
+                for states in product(*[domains[u] for u in family])
+            }
+        else:
+            scope = (v,) if width[v] > 1 else ()
             if is_root:
-                p = root_probability(kb, RootLiteral(v, a[v]))
-            elif arcs:
-                p = sum(
-                    arc.weight / r * completed_intensity(arc, a[v], a[arc.parent])
-                    for arc in arcs
-                )
-            else:
-                p = 1.0 if a[v] == 0 else 0.0  # uncaused: certainly normal
-            table[tuple(a[u] for u in scope)] = p
-        factors.append((scope, table))
+                table = {
+                    (x,) if scope else (): root_probability(kb, RootLiteral(v, x))
+                    for x in domain
+                }
+            else:  # uncaused: certainly normal
+                table = {(x,) if scope else (): 1.0 if x == 0 else 0.0 for x in domain}
+        factors[len(factors)] = (scope, table)
 
     root = g.root
-    while True:
-        touched: dict[int, set[int]] = {}
-        for scope, _ in factors:
-            for v in scope:
-                if v != root:
-                    touched.setdefault(v, set()).update(scope)
-        if not touched:
-            break
+    holders: dict[int, list[int]] = {}  # variable -> its live factors, oldest first
+    neighbours: dict[int, set[int]] = {}  # variable -> union of its factors' scopes
+    sizes: dict[int, tuple[int, int]] = {}  # variable -> (resulting size, id)
 
-        def size(v: int) -> tuple[int, int]:
-            n = 1
-            for u in touched[v]:
-                if u != v:
-                    n *= len(domains[u])
-            return n, v
+    def size(v: int) -> tuple[int, int]:
+        n = 1
+        for u in neighbours[v]:
+            if u != v:
+                n *= width[u]
+        return n, v
 
-        v = min(touched, key=size)
-        joined = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        scope = tuple(sorted(touched[v] - {v}))
+    for f, (scope, _) in factors.items():
+        for u in scope:
+            if u != root:
+                holders.setdefault(u, []).append(f)
+                neighbours.setdefault(u, set()).update(scope)
+    for v in holders:
+        sizes[v] = size(v)
+    created = len(factors)
+    while sizes:
+        _, v = min(sizes.values())
+        del sizes[v]
+        joined = [factors.pop(f) for f in holders.pop(v)]
+        scope = tuple(sorted(neighbours.pop(v) - {v}))
         full = scope + (v,)
         lookups = [(table, _positions(fscope, full)) for fscope, table in joined]
         table = {}
-        for states in product(*(domains[u] for u in scope)):
+        for states in product(*[domains[u] for u in scope]):
             total = 0.0
             for x in domains[v]:
                 a = states + (x,)
@@ -509,15 +537,23 @@ def factored_joints(
                     p *= t[key(a)]
                 total += p
             table[states] = total
-        factors.append((scope, table))
+        factors[created] = (scope, table)
+        for u in scope:  # every variable that shared a factor with v
+            if u != root:
+                holders[u] = [f for f in holders[u] if f in factors]
+                holders[u].append(created)
+                neighbours[u].discard(v)
+                neighbours[u].update(scope)
+                sizes[u] = size(u)
+        created += 1
 
     joints = {}
-    for s in kb.variables[root].state_ids:
+    for s in variables[root].state_ids:
         if s not in domains[root]:
             joints[s] = 0.0
             continue
         p = 1.0
-        for scope, table in factors:
+        for scope, table in factors.values():
             p *= table[(s,) if scope else ()]
         joints[s] = p
     return joints

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -65,11 +66,13 @@ class Variable:
     prior: Mapping[int, float] | None = None
     measure_point: str | None = None
 
-    @property
+    # Computed on first read and kept: the evaluators read both in hot loops.
+    # The cache sits outside the fields, so ==, hash and repr ignore it.
+    @cached_property
     def state_ids(self) -> tuple[int, ...]:
         return tuple(s.state_id for s in self.states)
 
-    @property
+    @cached_property
     def abnormal_state_ids(self) -> tuple[int, ...]:
         return tuple(s.state_id for s in self.states if s.state_id != 0)
 
@@ -151,7 +154,10 @@ class Condition:
         for raw in obj["all"]:
             if not isinstance(raw, dict) or "var" not in raw or "state" not in raw:
                 raise KBSyntaxError(f"{where}: condition literal needs var and state")
-            lits.append(ConditionLiteral(int(raw["var"]), int(raw["state"])))
+            lits.append(ConditionLiteral(
+                _number(raw["var"], where, "condition var"),
+                _number(raw["state"], where, "condition state"),
+            ))
         if not lits:
             raise KBSyntaxError(f"{where}: empty condition group")
         return tuple(sorted(lits, key=lambda l: (l.var, l.state)))
@@ -348,6 +354,18 @@ def _merge_arcs(
 # --- parsing ------------------------------------------------------------------
 
 
+def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
+    """``kind(value)``, the one conversion every KB number goes through. A value
+    that ``kind`` rejects raises :class:`KBSyntaxError` naming ``where`` and
+    ``what``; for ``int`` that includes ±inf and NaN, which JSON reads
+    ``1e400`` as."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}") from None
+
+
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse a knowledge-base JSON document.
 
@@ -396,10 +414,7 @@ def _parse_variable(raw: Any, index: int) -> Variable:
     where = f"variables[{index}]"
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: variable must be an object")
-    try:
-        var_id = int(raw["id"])
-    except (KeyError, TypeError, ValueError):
-        raise KBSyntaxError(f"{where}: integer 'id' is required") from None
+    var_id = _number(raw.get("id"), where, "'id'")
     kind = raw.get("kind")
     if kind not in KNOWN_KINDS:
         raise KBSyntaxError(f"{where}: unknown kind {kind!r}")
@@ -416,7 +431,7 @@ def _parse_variable(raw: Any, index: int) -> Variable:
     for raw_state in raw_states:
         if not isinstance(raw_state, dict) or "id" not in raw_state:
             raise KBSyntaxError(f"{where}: state needs an 'id'")
-        sid = int(raw_state["id"])
+        sid = _number(raw_state["id"], where, "state id")
         if sid in seen:
             raise KBSyntaxError(f"{where}: duplicate state id {sid}")
         seen.add(sid)
@@ -436,12 +451,12 @@ def _parse_variable(raw: Any, index: int) -> Variable:
             raise KBSyntaxError(f"{where}: prior must map state id to probability")
         prior = {}
         for key, value in raw["prior"].items():
-            sid = int(key)
+            sid = _number(key, where, "prior key")
             if sid not in seen:
                 raise UnknownReferenceError(
                     f"{where}: prior for undeclared state {sid}", sid
                 )
-            prior[sid] = float(value)
+            prior[sid] = _number(value, where, "prior", float)
         prior = dict(sorted(prior.items()))
 
     measure_point = raw.get("measure_point")
@@ -471,7 +486,9 @@ def _parse_intervals(raw: Any, where: str) -> dict[int, tuple[float, float]]:
             or not all(isinstance(b, (int, float)) for b in bounds)
         ):
             raise KBSyntaxError(f"{where}: interval for state {key} must be a pair")
-        out[int(key)] = (float(bounds[0]), float(bounds[1]))
+        sid = _number(key, where, "intervals key")
+        out[sid] = (_number(bounds[0], where, "interval bound", float),
+                    _number(bounds[1], where, "interval bound", float))
     return out
 
 
@@ -480,17 +497,14 @@ def _parse_arc(
 ) -> CausalArc:
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: arc must be an object")
-    try:
-        child = int(raw["child"])
-        parent = int(raw["parent"])
-    except (KeyError, TypeError, ValueError):
-        raise KBSyntaxError(f"{where}: integer 'child' and 'parent' are required") from None
+    child = _number(raw.get("child"), where, "'child'")
+    parent = _number(raw.get("parent"), where, "'parent'")
     for endpoint in (child, parent):
         if endpoint not in variables:
             raise UnknownReferenceError(
                 f"{where}: arc references undeclared variable {endpoint}", endpoint
             )
-    weight = float(raw.get("weight", 1.0))
+    weight = _number(raw.get("weight", 1.0), where, "weight", float)
     raw_matrix = raw.get("matrix")
     if not isinstance(raw_matrix, dict):
         raise KBSyntaxError(f"{where}: 'matrix' object is required")
@@ -498,8 +512,12 @@ def _parse_arc(
     for k_raw, row in raw_matrix.items():
         if not isinstance(row, dict):
             raise KBSyntaxError(f"{where}: matrix rows must be objects")
-        k = int(k_raw)
-        matrix[k] = {int(j): float(p) for j, p in row.items()}
+        k = _number(k_raw, where, "matrix row key")
+        matrix[k] = {
+            _number(j, where, "matrix column key"):
+            _number(p, where, "intensity", float)
+            for j, p in row.items()
+        }
     matrix = {k: dict(sorted(row.items())) for k, row in sorted(matrix.items())}
 
     condition = None
@@ -520,14 +538,11 @@ def _parse_subducg(
 ) -> SubDUCG:
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: subducg must be an object")
-    try:
-        root = int(raw["root"])
-    except (KeyError, TypeError, ValueError):
-        raise KBSyntaxError(f"{where}: integer 'root' is required") from None
+    root = _number(raw.get("root"), where, "'root'")
     raw_ids = raw.get("variables")
     if not isinstance(raw_ids, list) or not raw_ids:
         raise KBSyntaxError(f"{where}: non-empty 'variables' id list is required")
-    ids = [int(i) for i in raw_ids]
+    ids = [_number(i, where, "variable id") for i in raw_ids]
     for var_id in ids:
         if var_id not in variables:
             raise UnknownReferenceError(

@@ -1,6 +1,7 @@
 """Knowledge-base model: parsing, canonical serialization, validation, composition."""
 
 import json
+import re
 
 import pytest
 
@@ -24,6 +25,8 @@ from ducg import (
     serialize_kb,
     validate_kb,
 )
+
+from conftest import run_cli
 
 
 def states(n):
@@ -83,6 +86,51 @@ def test_parse_rejects_unknown_arc_reference():
 def test_parse_rejects_unsupported_version():
     with pytest.raises(KBSyntaxError, match="version"):
         parse_kb('{"version": 2, "variables": []}')
+
+
+# Number literals JSON cannot hand to int(): 1e400 reads as inf, so int()
+# raised a bare OverflowError (or ValueError for a string key) before.
+_BAD_NUMBERS = {
+    "variable id": ("variables[0]", lambda d: d["variables"][0].update(id="@1e400")),
+    "state id": ("variables[0]", lambda d: d["variables"][0]["states"][1].update(id="@1e400")),
+    "prior key": ("variables[0]", lambda d: d["variables"][0].update(prior={"1e400": 0.1})),
+    "arc child": ("arcs[0]", lambda d: d["arcs"][0].update(child="@2e400")),
+    "intervals key": (
+        "variables[1]", lambda d: d["variables"][1].update(intervals={"1e400": [1, 10]})
+    ),
+    "arc weight": ("arcs[0]", lambda d: d["arcs"][0].update(weight="heavy")),
+    "intensity": ("arcs[0]", lambda d: d["arcs"][0].update(matrix={"1": {"1": [0.5]}})),
+}
+
+
+def _bad_number_kb(case):
+    where, corrupt = _BAD_NUMBERS[case]
+    doc = {
+        "version": 1,
+        "variables": [json.loads(var_json(1, "B")), json.loads(var_json(3, "X"))],
+        "arcs": [{"child": 3, "parent": 1, "weight": 1.0, "matrix": {"1": {"1": 0.5}}}],
+    }
+    corrupt(doc)
+    # "@..." marks a bare number literal that json.dumps cannot write itself.
+    return where, re.sub(r'"@([0-9e]+)"', r"\1", json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_parse_rejects_unconvertible_numbers(case):
+    where, text = _bad_number_kb(case)
+    with pytest.raises(KBSyntaxError, match=re.escape(where)):
+        parse_kb(text)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_validate_reports_unconvertible_numbers_without_traceback(case, tmp_path):
+    where, text = _bad_number_kb(case)
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {where}:"), proc.stderr
 
 
 def var_json(vid, kind, prior=None):

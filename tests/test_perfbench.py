@@ -1,5 +1,7 @@
 """Short runs of the benchmark: each must end in a well-formed, correct result
-line that carries every metric ``BENCHMARK.json`` declares."""
+line that carries every metric ``BENCHMARK.json`` declares. Every workload
+also runs traced, and each traced metric but the tracer's overhead must be
+above zero."""
 
 import json
 import math
@@ -16,7 +18,12 @@ RUNS = {
     "long-stream-untraced": ("long-stream", "--seconds", "1", "--trace", "0"),
     "deep-expand-untraced": ("deep-expand", "--seconds", "1", "--trace", "0"),
     "deep-expand-traced": ("deep-expand", "--trace", "1"),
+    "long-stream-traced": ("long-stream", "--trace", "1"),
+    "plant-narrowing-traced": ("plant-narrowing", "--trace", "1"),
 }
+# The tracer's own cost may read below zero; every other metric is a time, a
+# count or a ratio of work the run did, which a working program never leaves at 0.
+MAY_BE_NONPOSITIVE = {"trace.overhead_pct"}
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
@@ -41,3 +48,8 @@ def test_benchmark_run_ends_in_a_correct_result_line(run):
     assert set(result["metrics"]) >= {m["name"] for m in declared}
     if traced:
         assert "absent" not in proc.stdout
+        zero = [
+            m["name"] for m in declared
+            if m["name"] not in MAY_BE_NONPOSITIVE and not result["metrics"][m["name"]]["value"] > 0
+        ]
+        assert not zero, zero
