@@ -145,14 +145,6 @@ class EventExpression:
     def is_empty(self) -> bool:
         return not self.terms
 
-    def multiply(self, other: "EventExpression") -> "EventExpression":
-        products = [
-            Product.make(a.roots + b.roots, a.arcs + b.arcs)
-            for a in self.terms
-            for b in other.terms
-        ]
-        return EventExpression.make(products)
-
 
 def conjoin(expr: EventExpression, hyp: RootLiteral) -> EventExpression:
     """Restrict ``expr`` to the hypothesis event ``hyp``.

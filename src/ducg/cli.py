@@ -189,7 +189,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         subgraphs.extend(kb.subducgs if kb.subducgs else decompose(kb))
     selection = None
     if args.roots:
-        selection = [int(r) for r in args.roots.split(",")]
+        try:
+            selection = [int(r) for r in args.roots.split(",")]
+        except ValueError:
+            print(f"error: --roots takes comma-separated root ids: {args.roots!r}", file=sys.stderr)
+            return 1
     compiled = compile_kb(subgraphs, selection)
     Path(args.output).write_text(serialize_kb(compiled), encoding="utf-8")
     return 0

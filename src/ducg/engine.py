@@ -25,16 +25,17 @@ a slice with the retained arcs and evidence states of one of the root's
 those joints, so a chattering channel that keeps bringing the same evidence
 back is evaluated once per pattern.
 
-Slices and ranking follow these rules:
+Slices and ranking follow these rules; each convention is written once:
 
 * a slice keeps exactly the arcs lying on a causal path from the root to some
   evidenced variable (conditional arcs whose condition is false are deleted
   first; self-arcs never lie on a simple path);
-* weight denominators ``r`` are recomputed from the retained arcs, so a
-  root's explanation never pays for causes that live outside its own graph;
-* a root whose graph cannot reach every abnormal observation — or whose
-  evidence probability is zero — drops out of the hypothesis space
-  permanently.
+* each child's cause routes share its causal mass as w/r, ``r`` summed over
+  the child's retained arcs (``_families``), so a root's explanation never
+  pays for causes that live outside its own graph;
+* a root whose graph cannot reach every abnormal observation
+  (``_unexplained``) — or whose evidence probability is zero — drops out of
+  the hypothesis space permanently.
 """
 
 from __future__ import annotations
@@ -178,13 +179,22 @@ def _upstream_of(targets: Iterable[int], arcs: Iterable[CausalArc]) -> set[int]:
     return seen
 
 
+def _unexplained(
+    ev: EvidenceSnapshot, scope: Collection[int], reached: Collection[int]
+) -> tuple[int, ...]:
+    """The slice-validity rule: the abnormal observations of ``ev`` outside
+    the root's subgraph ``scope`` or not ``reached`` from the root, in id order."""
+    return tuple(sorted(v for v in ev.abnormal_set if v not in scope or v not in reached))
+
+
 def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
     """Build the root's slice for ``ev``: keep only causally relevant arcs.
 
     An arc survives when the root reaches its parent and its child reaches
     some evidenced variable, i.e. the arc lies on a root→evidence causal
     path. The slice is marked invalid when some abnormal observation is
-    outside the subgraph or unreachable from the root.
+    outside the subgraph or unreachable from the root (over the candidates:
+    every arc of a root path to an observation in scope is retained).
     """
     if not ev.abnormal_set:
         raise NoAbnormalEvidenceError(
@@ -204,14 +214,7 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
         variables.add(arc.parent)
         variables.add(arc.child)
 
-    explained = _downstream(sub.root, retained)
-    unexplained = tuple(
-        sorted(
-            v
-            for v in ev.abnormal_set
-            if v not in sub.variables or v not in explained
-        )
-    )
+    unexplained = _unexplained(ev, sub.variables, from_root)
     return SliceGraph(
         root=sub.root,
         tick=ev.tick,
@@ -237,11 +240,25 @@ def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph) -> CubicGraph
 def check_valid(cubic: CubicGraph, ev: EvidenceSnapshot) -> bool:
     """True iff the latest slice explains every abnormal observation of ``ev``."""
     g = cubic.latest
-    explained = _downstream(g.root, g.arcs)
-    for v in sorted(ev.abnormal_set):
-        if v not in g.scope or v not in explained:
-            return False
-    return True
+    return not _unexplained(ev, g.scope, _downstream(g.root, g.arcs))
+
+
+def _families(arcs: Iterable[CausalArc]) -> dict[int, list[tuple[CausalArc, float, int]]]:
+    """Each child's in-arcs in arc order, each with its weight share w/r (``r``
+    summed over the child's arcs in that order) and its rank among the child's
+    arcs from the same parent (0 unless arcs are parallel)."""
+    index: dict[int, list[CausalArc]] = {}
+    for arc in arcs:
+        index.setdefault(arc.child, []).append(arc)
+    families = {}
+    for child, arcs_in in index.items():
+        r = sum(arc.weight for arc in arcs_in)
+        ranks: dict[int, int] = {}
+        family = families[child] = []
+        for arc in arcs_in:
+            rank = ranks[arc.parent] = ranks.get(arc.parent, -1) + 1
+            family.append((arc, arc.weight / r, rank))
+    return families
 
 
 # --- symbolic expansion ----------------------------------------------------------
@@ -289,18 +306,6 @@ def _absorb(
     return True
 
 
-def _in_arcs(g: SliceGraph) -> dict[int, list[tuple[CausalArc, int]]]:
-    """Each child's retained in-arcs in slice order, each with its rank among
-    the child's arcs from the same parent (0 unless arcs are parallel)."""
-    index: dict[int, list[tuple[CausalArc, int]]] = {}
-    ranks: dict[tuple[int, int], int] = {}
-    for arc in g.arcs:
-        key = (arc.child, arc.parent)
-        rank = ranks[key] = ranks.get(key, -1) + 1
-        index.setdefault(arc.child, []).append((arc, rank))
-    return index
-
-
 def _add_arc_literal(term: _Term, lit: ArcLiteral) -> bool:
     """One realized cause route per child variable; duplicates collapse."""
     seen = term.arcs.get(lit.child)
@@ -325,7 +330,7 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
     evidence = {
         v: s for v, s in ev.assignments.items() if v in g.variables
     }
-    in_arcs = _in_arcs(g)
+    families = _families(g.arcs)
 
     seed = _Term(roots={}, arcs={}, pending={}, pinned={})
     for var, state in sorted(evidence.items()):
@@ -352,13 +357,10 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
         state, history = term.pending.pop(var)
 
         routes: list[tuple[ArcLiteral, int, int]] = []
-        arcs_in = in_arcs.get(var, ())
-        r_var = sum(arc.weight for arc, _ in arcs_in)
-        for arc, parallel in arcs_in:
+        for arc, share, parallel in families.get(var, ()):
             if arc.parent in history:
                 continue  # not a simple causal chain
             parent = kb.variables[arc.parent]
-            share = arc.weight / r_var
             for j in parent.state_ids:
                 if parent.kind == "D" and j == 0:
                     continue  # a default cause is always present
@@ -467,19 +469,16 @@ def factored_joints(
         for v in sorted(g.variables)
     }
     width = {v: len(domain) for v, domain in domains.items()}
-    arcs_of: dict[int, list[CausalArc]] = {}
-    for arc in g.arcs:
-        arcs_of.setdefault(arc.child, []).append(arc)
+    families = _families(g.arcs)
 
     # Live factors by creation id, each (scope, table).
     factors: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
     for v, domain in domains.items():
         is_root = variables[v].kind in ROOT_KINDS
-        arcs = () if is_root else arcs_of.get(v, ())
+        arcs = () if is_root else families.get(v, ())
         if arcs:
-            r = sum(arc.weight for arc in arcs)
-            family = (v, *sorted({arc.parent for arc in arcs}))
-            shares = [(arc.weight / r, family.index(arc.parent), arc) for arc in arcs]
+            family = (v, *sorted({arc.parent for arc, _, _ in arcs}))
+            shares = [(share, family.index(arc.parent), arc) for arc, share, _ in arcs]
             scope = tuple([u for u in family if width[u] > 1])
             key = _positions(scope, family)
             table = {
@@ -787,11 +786,7 @@ def predict(
             f"hypothesis {hyp.var} does not match graph root {cubic.root}"
         )
     sub = next(s for s in decompose(kb) if s.root == cubic.root)
-    arcs = [a for a in sub.arcs if a.child != a.parent]
-    in_arcs: dict[int, list[CausalArc]] = {}
-    for arc in arcs:
-        in_arcs.setdefault(arc.child, []).append(arc)
-    r = {child: sum(a.weight for a in arcs_in) for child, arcs_in in in_arcs.items()}
+    families = _families(a for a in sub.arcs if a.child != a.parent)
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == hyp.var:
@@ -799,10 +794,9 @@ def predict(
         if kb.variables[var].kind == "D":
             return 1.0
         total = 0.0
-        for arc in in_arcs.get(var, ()):
+        for arc, share, _ in families.get(var, ()):
             if arc.parent in seen:
                 continue
-            share = arc.weight / r[var]
             parent = kb.variables[arc.parent]
             for j in parent.abnormal_state_ids:
                 intensity = completed_intensity(arc, state, j)

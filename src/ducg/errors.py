@@ -54,12 +54,6 @@ class ConflictingDefinitionError(DucgError):
         self.ids = ids
 
 
-class InconsistentNormalRowError(DucgError):
-    """An explicit normal-state intensity row contradicts 1 - sum(abnormal)."""
-
-    code = "INCONSISTENT_NORMAL_ROW"
-
-
 class InvalidKnowledgeBaseError(DucgError):
     """A knowledge base failed rule validation and cannot drive inference."""
 

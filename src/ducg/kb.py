@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -30,7 +31,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     ConflictingDefinitionError,
     DuplicateVariableError,
-    InconsistentNormalRowError,
     KBParseError,
     KBSyntaxError,
     UnknownReferenceError,
@@ -205,38 +205,6 @@ class CausalArc:
             and {k: dict(r) for k, r in self.matrix.items()}
             == {k: dict(r) for k, r in other.matrix.items()}
         )
-
-
-def complete_normal_rows(arc: CausalArc) -> CausalArc:
-    """Return ``arc`` with explicit child-normal entries for every specified column.
-
-    The normal-state intensity of a column is 1 − Σ(abnormal entries). An
-    explicit normal entry is kept if consistent with that complement and
-    rejected otherwise.
-    """
-    rows: dict[int, dict[int, float]] = {k: dict(r) for k, r in arc.matrix.items()}
-    normal_row = rows.setdefault(0, {})
-    for j in arc.parent_states_specified():
-        abnormal_sum = sum(
-            row.get(j, 0.0) for k, row in arc.matrix.items() if k != 0
-        )
-        complement = 1.0 - abnormal_sum
-        if j in normal_row:
-            if abs(normal_row[j] - complement) > PROBABILITY_TOL:
-                raise InconsistentNormalRowError(
-                    f"arc {arc.child}<-{arc.parent}: explicit normal entry "
-                    f"{normal_row[j]} for parent state {j} contradicts "
-                    f"1 - sum(abnormal) = {complement}"
-                )
-        else:
-            normal_row[j] = complement
-    return CausalArc(
-        child=arc.child,
-        parent=arc.parent,
-        weight=arc.weight,
-        matrix={k: dict(r) for k, r in sorted(rows.items())},
-        condition=arc.condition,
-    )
 
 
 def completed_intensity(arc: CausalArc, child_state: int, parent_state: int) -> float:
@@ -755,7 +723,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
                 (arc.parent,),
                 f"arc parent {arc.parent} undeclared",
             )
-        if arc.weight <= 0:
+        if not 0 < arc.weight < math.inf:  # NaN fails this too
             add("NONPOSITIVE_WEIGHT", pair, f"arc {pair} has weight {arc.weight}")
         if (child and child.kind in UNSUPPORTED_ARC_KINDS) or (
             parent and parent.kind in UNSUPPORTED_ARC_KINDS

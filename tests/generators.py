@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ducg import (
     CausalArc,
+    Condition,
+    ConditionLiteral,
     EvidenceSnapshot,
     KnowledgeBase,
     RootLiteral,
@@ -101,6 +104,25 @@ def random_kb(rng: random.Random, *, with_default_cause: bool = False) -> Knowle
     if x_ids and rng.random() < 0.2:
         x = rng.choice(x_ids)  # self-arc: must never influence inference
         arcs.append(_random_arc(rng, variables, child=x, parent=x))
+    return KnowledgeBase(variables, arcs)
+
+
+def random_cyclic_kb(rng: random.Random, *, with_default_cause: bool = False) -> KnowledgeBase:
+    """``random_kb`` plus 1-2 random X<-X arcs, which may close cycles or run
+    parallel to an arc, and one arc whose condition names a random observable."""
+    kb = random_kb(rng, with_default_cause=with_default_cause)
+    variables = dict(kb.variables)
+    x_ids = sorted(v for v, var in variables.items() if var.kind == "X")
+    arcs = list(kb.arcs)
+    for _ in range(rng.randint(1, 2)):
+        child, parent = rng.sample(x_ids, 2)
+        arcs.append(_random_arc(rng, variables, child=child, parent=parent))
+    child = rng.choice(x_ids)
+    parent = rng.choice([v for v, var in variables.items() if v != child and var.kind != "D"])
+    on = rng.choice(x_ids)
+    condition = Condition(((ConditionLiteral(on, rng.choice(variables[on].state_ids)),),))
+    arc = _random_arc(rng, variables, child=child, parent=parent)
+    arcs.append(replace(arc, condition=condition))
     return KnowledgeBase(variables, arcs)
 
 

@@ -78,19 +78,6 @@ def test_empty_expression():
     assert eval_expression(e, KnowledgeBase({1: _root(1)})) == 0.0
 
 
-def test_multiply_distributes_and_prunes():
-    left = expr(Product.make([B1_1], []), Product.make([B1_2], []))
-    right = expr(Product.make([B1_1], [ARC_A]))
-    out = left.multiply(right)
-    # (B1_2 AND B1_1) annihilates; (B1_1 AND B1_1) collapses
-    assert out.terms == (Product.make([B1_1], [ARC_A]),)
-
-
-def test_multiply_is_expand_once_idempotent():
-    e = expr(Product.make([B1_1], [ARC_A]), Product.make([B2_1], [ARC_B]))
-    assert e.multiply(e) == e
-
-
 # --- conjoin --------------------------------------------------------------------
 
 
@@ -197,16 +184,6 @@ def test_expression_terms_are_canonical(e):
     keys = [t.sort_key() for t in e.terms]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-
-
-@given(expressions, expressions)
-def test_multiply_commutes(a, b):
-    assert a.multiply(b) == b.multiply(a)
-
-
-@given(expressions, expressions, expressions)
-def test_multiply_associates(a, b, c):
-    assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
 
 
 @given(expressions, root_literals)

@@ -73,6 +73,16 @@ def test_compile_root_selection(tmp_path):
     assert {v["id"] for v in doc["variables"]} == {1, 3, 4, 5, 6}
 
 
+def test_compile_rejects_non_integer_root_ids(tmp_path):
+    out = tmp_path / "x.json"
+    proc = run_cli(
+        "compile", str(DATA / "tworoot_modular_kb.json"), "-o", str(out), "--roots", "1,x"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_compile_rejects_conflicting_inputs(tmp_path):
     doc = json.loads((DATA / "tworoot_kb.json").read_text())
     doc["arcs"][0]["matrix"]["1"]["1"] = 0.25  # same arc, different parameter

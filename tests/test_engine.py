@@ -42,7 +42,7 @@ from ducg import (
 )
 
 from conftest import run_scenario
-from generators import deep_evidence, layered_kb, random_evidence, random_kb
+from generators import deep_evidence, layered_kb, random_cyclic_kb, random_evidence, random_kb
 
 
 def snapshot(tick, assignments):
@@ -125,6 +125,62 @@ def test_simplify_drops_false_conditioned_arcs(tworoot_kb):
     s1 = simplify(subs_by_root(kb)[1], snapshot(14, T1))
     # X5 is observed at state 1, so the conditional X6←B1 arc is disabled
     assert {(a.child, a.parent) for a in s1.arcs} == {(3, 1), (5, 1)}
+
+
+def _reach(start, steps):
+    """Every node reachable from ``start`` along ``steps`` (pairs from, to)."""
+    seen, frontier = set(start), list(start)
+    while frontier:
+        node = frontier.pop()
+        for a, b in steps:
+            if a == node and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def _two_walk_unexplained(sub, ev):
+    """Slice validity as first written: keep the root-to-evidence arcs, then
+    walk from the root again over the kept arcs alone."""
+    candidates = [
+        a for a in sub.arcs
+        if a.child != a.parent
+        and (a.condition is None or a.condition.evaluate(ev.assignments) is not False)
+    ]
+    from_root = _reach({sub.root}, [(a.parent, a.child) for a in candidates])
+    evidenced = {v for v in ev.assignments if v in sub.variables}
+    to_evidence = _reach(evidenced, [(a.child, a.parent) for a in candidates])
+    kept = [a for a in candidates if a.parent in from_root and a.child in to_evidence]
+    explained = _reach({sub.root}, [(a.parent, a.child) for a in kept])
+    return tuple(
+        sorted(v for v in ev.abnormal_set if v not in sub.variables or v not in explained)
+    )
+
+
+@pytest.mark.parametrize("with_default_cause", [False, True])
+def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
+    """``simplify`` decides validity from its own walk from the root;
+    ``check_valid`` walks the slice's arcs, also for another tick's evidence.
+    Both agree with the two-walk rule on 600 KBs with cycles and conditions."""
+    compared = cut = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        kb = random_cyclic_kb(rng, with_default_cause=with_default_cause)
+        ev, other = random_evidence(rng, kb), random_evidence(rng, kb)
+        for sub in decompose(kb):
+            want = _two_walk_unexplained(sub, ev)
+            s = simplify(sub, ev)
+            assert (s.unexplained, s.valid) == (want, not want), f"seed {seed} root {sub.root}"
+            cubic = merge_cubic(None, s)
+            assert check_valid(cubic, ev) == (not want)
+            explained = _reach({s.root}, [(a.parent, a.child) for a in s.arcs])
+            assert check_valid(cubic, other) == all(
+                v in s.scope and v in explained for v in other.abnormal_set
+            ), f"seed {seed} root {sub.root}"
+            compared += 1
+            cut += any(v in sub.variables for v in want)
+    # in-scope observations the root cannot reach are what tell the walks apart
+    assert compared >= 1000 and cut >= 20, (compared, cut)
 
 
 # --- merge / check_valid -----------------------------------------------------------

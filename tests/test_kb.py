@@ -1,6 +1,7 @@
 """Knowledge-base model: parsing, canonical serialization, validation, composition."""
 
 import json
+import math
 import re
 
 import pytest
@@ -9,8 +10,9 @@ from ducg import (
     CausalArc,
     Condition,
     ConflictingDefinitionError,
+    DiagnosisSession,
     DuplicateVariableError,
-    InconsistentNormalRowError,
+    InvalidKnowledgeBaseError,
     KBParseError,
     KBSyntaxError,
     KnowledgeBase,
@@ -18,7 +20,6 @@ from ducg import (
     UnknownReferenceError,
     Variable,
     compile_kb,
-    complete_normal_rows,
     completed_intensity,
     decompose,
     parse_kb,
@@ -189,30 +190,19 @@ def test_modular_document_round_trips():
 # --- normal-row completion -------------------------------------------------------
 
 
-def test_complete_normal_rows_fills_complement():
-    arc = CausalArc(child=6, parent=2, weight=1.0, matrix={1: {1: 0.5, 2: 0.9}})
-    completed = complete_normal_rows(arc)
-    assert completed.matrix[0] == {1: 0.5, 2: pytest.approx(0.1)}
-    assert completed.matrix[1] == {1: 0.5, 2: 0.9}
-
-
-def test_complete_normal_rows_keeps_consistent_explicit_entry():
-    arc = CausalArc(child=3, parent=1, weight=1.0, matrix={0: {1: 0.5}, 1: {1: 0.5}})
-    assert complete_normal_rows(arc).matrix[0] == {1: 0.5}
-
-
-def test_complete_normal_rows_rejects_contradiction():
-    arc = CausalArc(child=3, parent=1, weight=1.0, matrix={0: {1: 0.6}, 1: {1: 0.5}})
-    with pytest.raises(InconsistentNormalRowError):
-        complete_normal_rows(arc)
-
-
 def test_completed_intensity_conventions():
     arc = CausalArc(child=4, parent=5, weight=1.0, matrix={1: {1: 0.7}})
     assert completed_intensity(arc, 0, 0) == 1.0  # identity: normal parent
     assert completed_intensity(arc, 1, 0) == 0.0
     assert completed_intensity(arc, 1, 1) == 0.7
     assert completed_intensity(arc, 0, 1) == pytest.approx(0.3)
+
+
+def test_completed_intensity_returns_a_consistent_explicit_normal_entry_as_written():
+    # 0.3 is within tolerance of 1 - 0.7 but not the same float
+    arc = CausalArc(child=4, parent=5, weight=1.0, matrix={0: {1: 0.3}, 1: {1: 0.7}})
+    assert 1.0 - 0.7 != 0.3
+    assert completed_intensity(arc, 0, 1) == 0.3
 
 
 def test_completed_intensity_empty_column_is_identity():
@@ -311,6 +301,39 @@ def test_validate_nonpositive_weight():
         [CausalArc(3, 1, 0.0, {1: {1: 0.5}})],
     )
     assert "NONPOSITIVE_WEIGHT" in codes(kb)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_is_refused(tmp_path, tworoot_text, weight):
+    """JSON reads NaN, Infinity and -Infinity; a NaN ζ would drop the root silently."""
+    doc = json.loads(tworoot_text)
+    (arc,) = [a for a in doc["arcs"] if (a["child"], a["parent"]) == (3, 1)]
+    arc["weight"] = weight
+    text = json.dumps(doc)
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+
+    assert codes(parse_kb(text)) == {"NONPOSITIVE_WEIGHT"}
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"code": "NONPOSITIVE_WEIGHT", "ids": [3, 1]}
+    with pytest.raises(InvalidKnowledgeBaseError):
+        DiagnosisSession(parse_kb(text))
+
+
+@pytest.mark.parametrize("normal, flagged", [(0.3, True), (0.5, False)])
+def test_validate_checks_explicit_normal_entries(normal, flagged):
+    kb = KnowledgeBase(
+        {1: make_var(1, "B", prior={1: 0.1}), 3: make_var(3)},
+        [CausalArc(3, 1, 1.0, {0: {1: normal}, 1: {1: 0.5}})],
+    )
+    violations = validate_kb(kb)
+    if flagged:
+        assert [(v.code, v.ids) for v in violations] == [
+            ("INCONSISTENT_NORMAL_ROW", (3, 1, 1))
+        ]
+    else:
+        assert violations == []
 
 
 def test_violation_json_shape(tworoot_kb):

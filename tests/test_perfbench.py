@@ -1,7 +1,7 @@
 """Short runs of the benchmark: each must end in a well-formed, correct result
 line that carries every metric ``BENCHMARK.json`` declares. Every workload
-also runs traced, and each traced metric but the tracer's overhead must be
-above zero."""
+runs both untraced and traced, and each traced metric but the tracer's
+overhead must be above zero."""
 
 import json
 import math
@@ -17,6 +17,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RUNS = {
     "long-stream-untraced": ("long-stream", "--seconds", "1", "--trace", "0"),
     "deep-expand-untraced": ("deep-expand", "--seconds", "1", "--trace", "0"),
+    "plant-narrowing-untraced": ("plant-narrowing", "--seconds", "1", "--trace", "0"),
     "deep-expand-traced": ("deep-expand", "--trace", "1"),
     "long-stream-traced": ("long-stream", "--trace", "1"),
     "plant-narrowing-traced": ("plant-narrowing", "--trace", "1"),
