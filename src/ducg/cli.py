@@ -16,7 +16,7 @@ from typing import IO, Iterable
 from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
-from .engine import DiagnosisReport, DiagnosisSession
+from .engine import DiagnosisReport, DiagnosisSession, SliceGraph, predict
 from .errors import DucgError, OutOfRangeError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import Reading, ingest_tick, iter_reading_groups, map_reading
@@ -249,15 +249,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         session=session,
     )
     cubic = session.cubic(args.root)
-    if cubic is None:
+    if cubic is not None:
+        g = cubic.latest
+    elif args.root in session.alive_roots:  # nothing triggered: no evidence yet
+        sub = next(s for s in decompose(kb) if s.root == args.root)
+        g = SliceGraph(args.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
+    else:
         print(
             f"error: root {args.root} is not in the surviving hypothesis space",
             file=sys.stderr,
         )
         return 2
-    from .engine import predict as predict_op
 
-    rows = predict_op(cubic, kb, RootLiteral(args.root, args.state))
+    rows = predict(g, kb, RootLiteral(args.root, args.state))
     payload = {
         "root": args.root,
         "state": args.state,

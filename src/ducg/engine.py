@@ -3,10 +3,12 @@
 For every fault root the engine keeps a *cubic* graph: a persistent chain of
 per-tick simplified slices, appended in O(1), whose linkage edges are derived
 on read. A session keeps the earlier slices only when asked to (DOT export
-draws them); otherwise each root holds just its latest slice. Each triggering
-snapshot is explained on the latest slice of every surviving root by one of
-two evaluators, which give its evidence probability ζ and the joint of each
-fault state; the states are then ranked:
+draws them); otherwise each root holds just its latest slice. A slice holds
+the snapshot's evidence on the root's graph (``states``), so the evaluators,
+ranking and ``predict`` read one ``SliceGraph``, never the snapshot or the
+cubic graph. Each triggering snapshot is explained on the latest slice of
+every surviving root by one of two evaluators, which give its evidence
+probability ζ and the joint of each fault state; the states are then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
@@ -131,10 +133,6 @@ class CubicGraph:
             for a, b in zip(slices, slices[1:])
             for v in sorted(a.variables & b.variables)
         )
-
-    @property
-    def current_evidence(self) -> Mapping[int, int]:
-        return self.latest.states
 
 
 def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
@@ -315,8 +313,8 @@ def _add_arc_literal(term: _Term, lit: ArcLiteral) -> bool:
     return seen == lit
 
 
-def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventExpression:
-    """Rewrite the evidence on ``cubic``'s latest slice into root-cause terms.
+def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
+    """Rewrite the evidence states of slice ``g`` into root-cause terms.
 
     Every evidence literal is recursively replaced by its weighted cause
     routes ``share · intensity · parent-state`` until only root literals and
@@ -326,14 +324,10 @@ def expand(ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase) -> EventE
     variables with no retained cause contribute probability 1 and vanish;
     abnormal literals with no cause route annihilate their term.
     """
-    g = cubic.latest
-    evidence = {
-        v: s for v, s in ev.assignments.items() if v in g.variables
-    }
     families = _families(g.arcs)
 
     seed = _Term(roots={}, arcs={}, pending={}, pinned={})
-    for var, state in sorted(evidence.items()):
+    for var, state in g.states.items():
         if not _absorb(seed, kb, var, state, frozenset({var})):
             return EventExpression.make([])
 
@@ -433,15 +427,13 @@ def _positions(
     return itemgetter(*where) if where else lambda assignment: ()
 
 
-def factored_joints(
-    ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
-) -> dict[int, float]:
+def factored_joints(g: SliceGraph, kb: KnowledgeBase) -> dict[int, float]:
     """Pr{root = s ∧ evidence} for every root state s, by variable elimination.
 
-    Reads ``cubic``'s latest slice as a causal network: a root has its prior,
-    every caused variable the weighted mixture Σ (w/r)·intensity of its
-    retained in-arcs, an uncaused evidenced variable is certain to be normal,
-    and evidence clamps domains. Every variable except the root is summed
+    Reads slice ``g`` as a causal network: a root has its prior, every caused
+    variable the weighted mixture Σ (w/r)·intensity of its retained in-arcs,
+    an uncaused evidenced variable is certain to be normal, and evidence
+    clamps domains. Every variable except the root is summed
     out, smallest resulting factor first. On an acyclic slice this equals
     what ``expand`` builds, up to float summation order.
 
@@ -461,9 +453,8 @@ def factored_joints(
     variable, and the neighbours and resulting size of each variable in the
     new scope.
     """
-    g = cubic.latest
     variables = kb.variables
-    clamps = ev.assignments
+    clamps = g.states
     domains = {
         v: (clamps[v],) if v in clamps else variables[v].state_ids
         for v in sorted(g.variables)
@@ -571,17 +562,15 @@ class HypothesisResult:
     posterior: float
 
 
-def _evaluate(
-    ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
-) -> tuple[float, dict[int, float]]:
-    """ζ of ``cubic``'s latest slice and the joint of each abnormal root state
-    (no joints when ζ is 0)."""
-    root = cubic.root
+def _evaluate(g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
+    """ζ of slice ``g`` and the joint of each abnormal root state (no joints
+    when ζ is 0)."""
+    root = g.root
     abnormal = kb.variables[root].abnormal_state_ids
-    if _takes_factored_path(cubic.latest, kb):
-        f = factored_joints(ev, cubic, kb)
+    if _takes_factored_path(g, kb):
+        f = factored_joints(g, kb)
         return sum(f.values()), {s: f[s] for s in abnormal}
-    expr = expand(ev, cubic, kb)
+    expr = expand(g, kb)
     zeta = eval_expression(expr, kb)
     if zeta <= 0.0:
         return zeta, {}
@@ -601,29 +590,25 @@ class EvaluationMemo:
     ``_MEMO_PER_ROOT`` of them, the least recently used evicted first.
 
     The key is the ordered identities of the slice's retained arcs plus its
-    evidence states. ``_evaluate`` reads the evidence only on the slice's
-    variables, which lie in the root's scope and include every evidenced one
-    there, so on them it equals ``states``; the arcs carry every condition
-    outcome, also of conditions on variables outside the scope. Each entry
-    holds its arcs, so their identities cannot be reused while it lives.
+    evidence states; with the root they fix the whole slice ``_evaluate``
+    reads, and the arcs carry every condition outcome, also of conditions on
+    variables outside the root's scope. Each entry holds its arcs, so their
+    identities cannot be reused while it lives.
     """
 
     def __init__(self) -> None:
         self._by_root: dict[int, OrderedDict] = {}  # root -> key -> (arcs, (ζ, joints))
 
-    def evaluate(
-        self, ev: EvidenceSnapshot, cubic: CubicGraph, kb: KnowledgeBase
-    ) -> tuple[float, dict[int, float]]:
-        g = cubic.latest
+    def evaluate(self, g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
         key = (tuple(map(id, g.arcs)), tuple(g.states.items()))
-        entries = self._by_root.get(cubic.root)
+        entries = self._by_root.get(g.root)
         if entries is None:
-            entries = self._by_root[cubic.root] = OrderedDict()
+            entries = self._by_root[g.root] = OrderedDict()
         hit = entries.get(key)
         if hit is not None:
             entries.move_to_end(key)
             return hit[1]
-        value = _evaluate(ev, cubic, kb)
+        value = _evaluate(g, kb)
         entries[key] = (g.arcs, value)
         if len(entries) > _MEMO_PER_ROOT:
             entries.popitem(last=False)
@@ -635,25 +620,24 @@ class EvaluationMemo:
 
 
 def rank_hypotheses(
-    graphs: Sequence[CubicGraph],
-    ev: EvidenceSnapshot,
+    slices: Sequence[SliceGraph],
     kb: KnowledgeBase,
     memo: Optional[EvaluationMemo] = None,
 ) -> list[HypothesisResult]:
-    """Score every abnormal root state of every surviving graph.
+    """Score every abnormal root state of every surviving root's slice.
 
-    posterior = xi · joint / zeta, with xi = zeta / Σ zeta over graphs of
+    posterior = xi · joint / zeta, with xi = zeta / Σ zeta over slices of
     positive evidence probability. Hypotheses with zero joint are dropped.
     ζ and the joints come through ``memo`` when one is given.
     """
-    if not graphs:
+    if not slices:
         raise EmptyHypothesisSpaceError("no graphs survive the evidence")
     evaluate = _evaluate if memo is None else memo.evaluate
-    evaluated: list[tuple[CubicGraph, float, dict[int, float]]] = []
-    for cubic in graphs:
-        zeta, joints = evaluate(ev, cubic, kb)
+    evaluated: list[tuple[SliceGraph, float, dict[int, float]]] = []
+    for g in slices:
+        zeta, joints = evaluate(g, kb)
         if zeta > 0.0:
-            evaluated.append((cubic, zeta, joints))
+            evaluated.append((g, zeta, joints))
     if not evaluated:
         raise EmptyHypothesisSpaceError(
             "evidence has probability zero on every surviving graph"
@@ -661,13 +645,13 @@ def rank_hypotheses(
     total = sum(z for _, z, _ in evaluated)
 
     results: list[HypothesisResult] = []
-    for cubic, zeta, joints in evaluated:
+    for g, zeta, joints in evaluated:
         xi = zeta / total
         for state, joint in joints.items():
             if joint > 0.0:
                 results.append(
                     HypothesisResult(
-                        root=cubic.root,
+                        root=g.root,
                         state=state,
                         joint=joint,
                         zeta=zeta,
@@ -704,11 +688,10 @@ class DiagnosisSession:
     session runs.
     """
 
-    def __init__(self, kb: KnowledgeBase, *, validate: bool = True, history: bool = False):
-        if validate:
-            violations = validate_kb(kb)
-            if violations:
-                raise InvalidKnowledgeBaseError(violations)
+    def __init__(self, kb: KnowledgeBase, *, history: bool = False):
+        violations = validate_kb(kb)
+        if violations:
+            raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
         self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
         self._cubics: dict[int, CubicGraph] = {}
@@ -740,7 +723,7 @@ class DiagnosisSession:
 
         try:
             hypotheses = rank_hypotheses(
-                list(survivors.values()), ev, self.kb, memo=self._memo
+                [c.latest for c in survivors.values()], self.kb, memo=self._memo
             )
         except EmptyHypothesisSpaceError:
             hypotheses = []
@@ -770,23 +753,25 @@ class DiagnosisSession:
 # --- prediction --------------------------------------------------------------------
 
 
-def predict(
-    cubic: CubicGraph, kb: KnowledgeBase, hyp: RootLiteral
-) -> list[tuple[int, int, float]]:
-    """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph.
+def predict(g: SliceGraph, kb: KnowledgeBase, hyp: RootLiteral) -> list[tuple[int, int, float]]:
+    """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph,
+    the KB's arcs within slice ``g``'s scope.
 
     Returns ``(var, state, probability)`` for every abnormal state of every
-    descendant that is not currently abnormal, sorted by descending
+    descendant that is not abnormal in ``g``'s evidence, sorted by descending
     probability. Self-arcs are excluded, weight denominators use only the
     subgraph's own arcs, and a default cause is always present, mirroring
     the conventions of diagnosis.
     """
-    if hyp.var != cubic.root:
+    if hyp.var != g.root:
         raise RootMismatchError(
-            f"hypothesis {hyp.var} does not match graph root {cubic.root}"
+            f"hypothesis {hyp.var} does not match graph root {g.root}"
         )
-    sub = next(s for s in decompose(kb) if s.root == cubic.root)
-    families = _families(a for a in sub.arcs if a.child != a.parent)
+    # the subgraph's arcs in ``decompose``'s order: ``kb.arcs`` is sorted by child
+    families = _families(
+        a for a in kb.arcs
+        if a.child != a.parent and a.child in g.scope and a.parent in g.scope
+    )
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == hyp.var:
@@ -808,14 +793,11 @@ def predict(
         return total
 
     rows: list[tuple[int, int, float]] = []
-    for var_id in sorted(sub.variables):
-        if var_id == cubic.root:
-            continue
+    for var_id in sorted(g.scope):
         var = kb.variables[var_id]
         if var.kind in ROOT_KINDS:
             continue
-        current = cubic.current_evidence.get(var_id, 0)
-        if current != 0:
+        if g.states.get(var_id, 0) != 0:
             continue  # already abnormal: nothing to predict
         for state in var.abnormal_state_ids:
             p = chain_probability(var_id, state, frozenset({var_id}))

@@ -18,7 +18,6 @@ from ducg import (
     decompose,
     eval_expression,
     expand,
-    merge_cubic,
     simplify,
 )
 
@@ -209,8 +208,7 @@ def check_engine_against_oracle(
         s = simplify(sub, ev)
         if not s.valid:
             continue
-        cubic = merge_cubic(None, s)
-        expr = expand(ev, cubic, kb)
+        expr = expand(s, kb)
         zeta = eval_expression(expr, kb)
         oracle_zeta = enumerate_joint(kb, s.variables, s.arcs, dict(s.states))
         assert abs(zeta - oracle_zeta) <= tol, (

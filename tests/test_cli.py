@@ -285,6 +285,23 @@ def test_predict_eliminated_root_exits_two():
     assert "not in the surviving hypothesis space" in proc.stderr
 
 
+def test_predict_before_any_trigger_scores_every_observable():
+    # an all-normal feed never triggers: every root is still alive, with no
+    # abnormal evidence yet, so X5 is predicted too
+    proc = run_cli(
+        "predict", "--kb", str(DATA / "tworoot_kb.json"),
+        "--signals", str(DATA / "tworoot_allnormal_signals.csv"), "--root", "1", "--state", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [(p["var"], p["state"], p["probability"]) for p in json.loads(proc.stdout)["predictions"]]
+    assert rows == [
+        (3, 1, pytest.approx(0.5)),
+        (6, 1, pytest.approx(0.4)),
+        (5, 1, pytest.approx(0.1)),
+        (4, 1, pytest.approx(0.07)),
+    ]
+
+
 # --- formatting -------------------------------------------------------------------
 
 

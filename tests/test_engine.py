@@ -161,7 +161,8 @@ def _two_walk_unexplained(sub, ev):
 def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
     """``simplify`` decides validity from its own walk from the root;
     ``check_valid`` walks the slice's arcs, also for another tick's evidence.
-    Both agree with the two-walk rule on 600 KBs with cycles and conditions."""
+    Both agree with the two-walk rule on 600 KBs with cycles and conditions.
+    Every retained arc lies on a root→evidence path of the retained arcs."""
     compared = cut = 0
     for seed in range(600):
         rng = random.Random(seed)
@@ -176,6 +177,10 @@ def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
             explained = _reach({s.root}, [(a.parent, a.child) for a in s.arcs])
             assert check_valid(cubic, other) == all(
                 v in s.scope and v in explained for v in other.abnormal_set
+            ), f"seed {seed} root {sub.root}"
+            to_evidence = _reach(set(s.states), [(a.child, a.parent) for a in s.arcs])
+            assert all(
+                a.parent in explained and a.child in to_evidence for a in s.arcs
             ), f"seed {seed} root {sub.root}"
             compared += 1
             cut += any(v in sub.variables for v in want)
@@ -200,7 +205,7 @@ def test_merge_links_shared_variables(tworoot_kb):
     c = merge_cubic(c, simplify(subs[2], snapshot(17, T3)))
     assert len(c.slices) == 3 and len(c.linkage) == 6
     assert c.latest.tick == 17
-    assert c.current_evidence == {4: 1, 5: 1, 6: 1, 7: 1}
+    assert c.latest.states == {4: 1, 5: 1, 6: 1, 7: 1}
 
 
 def test_merge_rejects_foreign_slice(tworoot_kb):
@@ -231,7 +236,7 @@ def test_merge_builds_a_persistent_chain(tworoot_kb):
         want_slices += (s,)
     assert c.slices == want_slices
     assert c.linkage == want_links
-    assert c.current_evidence == slices[-1].states
+    assert c.latest is slices[-1]
     assert "previous" not in repr(c)
     assert c == c and c != merge_cubic(c.previous, c.latest)
 
@@ -250,9 +255,7 @@ def test_check_valid_follows_latest_slice(tworoot_kb):
 
 def test_expand_single_cause_structure(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    ev = snapshot(14, T1)
-    cubic = merge_cubic(None, simplify(subs[1], ev))
-    expr = expand(ev, cubic, tworoot_kb)
+    expr = expand(simplify(subs[1], snapshot(14, T1)), tworoot_kb)
     assert expr == EventExpression.make([
         Product.make(
             [RootLiteral(1, 1)],
@@ -268,9 +271,7 @@ def test_expand_single_cause_structure(tworoot_kb):
 
 def test_expand_two_state_root_structure(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    ev = snapshot(14, T1)
-    cubic = merge_cubic(None, simplify(subs[2], ev))
-    expr = expand(ev, cubic, tworoot_kb)
+    expr = expand(simplify(subs[2], snapshot(14, T1)), tworoot_kb)
     assert expr == EventExpression.make([
         Product.make(
             [RootLiteral(2, 1)],
@@ -286,9 +287,7 @@ def test_expand_two_state_root_structure(tworoot_kb):
 
 def test_expand_chain_evidence(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    ev = snapshot(17, T3)
-    cubic = merge_cubic(None, simplify(subs[2], ev))
-    expr = expand(ev, cubic, tworoot_kb)
+    expr = expand(simplify(subs[2], snapshot(17, T3)), tworoot_kb)
     assert len(expr.terms) == 2  # one per B2 fault state
     for term in expr.terms:
         chain = {a.child: a.parent for a in term.arcs}
@@ -298,10 +297,9 @@ def test_expand_chain_evidence(tworoot_kb):
 
 def test_expand_is_deterministic(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    ev = snapshot(17, T3)
-    cubic = merge_cubic(None, simplify(subs[2], ev))
-    first = expand(ev, cubic, tworoot_kb)
-    assert all(expand(ev, cubic, tworoot_kb) == first for _ in range(5))
+    s = simplify(subs[2], snapshot(17, T3))
+    first = expand(s, tworoot_kb)
+    assert all(expand(s, tworoot_kb) == first for _ in range(5))
 
 
 # --- ranking -----------------------------------------------------------------------
@@ -309,12 +307,8 @@ def test_expand_is_deterministic(tworoot_kb):
 
 def rank_for(kb, ev_states, tick=14):
     ev = snapshot(tick, ev_states)
-    graphs = []
-    for sub in decompose(kb):
-        s = simplify(sub, ev)
-        if s.valid:
-            graphs.append(merge_cubic(None, s))
-    return rank_hypotheses(graphs, ev, kb)
+    slices = (simplify(sub, ev) for sub in decompose(kb))
+    return rank_hypotheses([s for s in slices if s.valid], kb)
 
 
 def test_rank_golden_first_tick(tworoot_kb):
@@ -346,20 +340,32 @@ def test_rank_zero_probability_graph_is_dropped():
         rank_for(kb, {5: 1, 6: 1})
 
 
+def test_zero_joint_hypothesis_never_reaches_a_report():
+    # root state 2's column gives X5=1 intensity 0, while state 1 keeps ζ > 0
+    kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}})], extra_x=(5,), root_states=3)
+    ev = snapshot(1, {5: 1})
+    (s,) = [simplify(sub, ev) for sub in decompose(kb)]
+    zeta, joints = ducg.engine._evaluate(s, kb)
+    assert zeta > 0.0 and joints == {1: zeta, 2: 0.0}
+    assert [(h.root, h.state) for h in rank_hypotheses([s], kb)] == [(1, 1)]
+    report = DiagnosisSession(kb).diagnose_tick(ev)
+    assert [(h.root, h.state) for h in report.hypotheses] == [(1, 1)]
+
+
 def test_rank_requires_graphs():
     from ducg import EmptyHypothesisSpaceError
 
     kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}})], extra_x=(5,))
     with pytest.raises(EmptyHypothesisSpaceError):
-        rank_hypotheses([], snapshot(1, {5: 1}), kb)
+        rank_hypotheses([], kb)
 
 
 def _counting_expand(monkeypatch):
     calls = []
 
-    def counted(ev, cubic, kb):
-        calls.append(cubic.root)
-        return expand(ev, cubic, kb)
+    def counted(g, kb):
+        calls.append(g.root)
+        return expand(g, kb)
 
     monkeypatch.setattr(ducg.engine, "expand", counted)
     return calls
@@ -383,14 +389,13 @@ _BACK_ARC = CausalArc(4, 5, 1.0, {1: {1: 0.5}})
 
 def test_rank_keeps_cyclic_slices_on_expand(monkeypatch):
     kb = _inline_kb(_LOOPED_ARCS + [_BACK_ARC], extra_x=(2, 3, 4, 5, 6), root_states=3)
-    ev = snapshot(1, {3: 0, 6: 1})
-    cubic = merge_cubic(None, simplify(subs_by_root(kb)[1], ev))
-    assert _BACK_ARC in cubic.latest.arcs
-    expr = expand(ev, cubic, kb)
+    s = simplify(subs_by_root(kb)[1], snapshot(1, {3: 0, 6: 1}))
+    assert _BACK_ARC in s.arcs
+    expr = expand(s, kb)
     zeta = eval_expression(expr, kb)
 
     calls = _counting_expand(monkeypatch)
-    results = rank_hypotheses([cubic], ev, kb)
+    results = rank_hypotheses([s], kb)
     assert calls == [1]
     assert [(h.state, h.zeta, h.joint) for h in results] == sorted(
         (
@@ -402,22 +407,20 @@ def test_rank_keeps_cyclic_slices_on_expand(monkeypatch):
 
 
 def test_rank_keeps_small_slices_on_expand(tworoot_kb, monkeypatch):
-    ev = snapshot(17, T3)
-    slices = (simplify(sub, ev) for sub in decompose(tworoot_kb))
-    graphs = [merge_cubic(None, s) for s in slices if s.valid]
+    slices = (simplify(sub, snapshot(17, T3)) for sub in decompose(tworoot_kb))
+    valid = [s for s in slices if s.valid]
     calls = _counting_expand(monkeypatch)
-    rank_hypotheses(graphs, ev, tworoot_kb)
-    assert calls == [g.root for g in graphs] and calls
+    rank_hypotheses(valid, tworoot_kb)
+    assert calls == [s.root for s in valid] and calls
 
 
 def test_rank_evaluates_large_acyclic_slices_by_elimination(monkeypatch):
     kb = _inline_kb(_LOOPED_ARCS, extra_x=(2, 3, 4, 5, 6), root_states=3)
-    ev = snapshot(1, {3: 0, 6: 1})
-    cubic = merge_cubic(None, simplify(subs_by_root(kb)[1], ev))
-    expr = expand(ev, cubic, kb)
+    s = simplify(subs_by_root(kb)[1], snapshot(1, {3: 0, 6: 1}))
+    expr = expand(s, kb)
 
     calls = _counting_expand(monkeypatch)
-    results = rank_hypotheses([cubic], ev, kb)
+    results = rank_hypotheses([s], kb)
     assert calls == []
     assert {h.state for h in results} == {1, 2}
     for h in results:
@@ -448,9 +451,8 @@ def test_factored_joints_match_expand_on_deep_slices():
         s = simplify(sub, ev)
         if not s.valid:
             continue
-        cubic = merge_cubic(None, s)
-        joints = factored_joints(ev, cubic, kb)
-        expr = expand(ev, cubic, kb)
+        joints = factored_joints(s, kb)
+        expr = expand(s, kb)
         assert math.isclose(sum(joints.values()), eval_expression(expr, kb), rel_tol=1e-12)
         for state, joint in joints.items():
             expected = eval_expression(conjoin(expr, RootLiteral(sub.root, state)), kb)
@@ -507,7 +509,38 @@ def test_session_validates_kb():
     kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 1.5}})], extra_x=(5,))
     with pytest.raises(InvalidKnowledgeBaseError):
         DiagnosisSession(kb)
-    DiagnosisSession(kb, validate=False)  # opt-out for pre-validated KBs
+
+
+def test_valid_root_of_zero_evidence_probability_leaves_for_good(monkeypatch):
+    """B1's slice reaches X5 and X6, so it is valid, but X5 demands its state
+    1 and X6 its state 2: ζ = 0. It leaves the hypothesis space, and the
+    next tick does not simplify it."""
+    one = _inline_kb(
+        arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}}), CausalArc(6, 1, 1.0, {1: {2: 0.5}})],
+        extra_x=(5, 6),
+        root_states=3,
+    )
+    b2 = Variable(id=2, kind="B", label="other root", states=one.variables[5].states, prior={1: 0.1})
+    kb = KnowledgeBase(
+        {**one.variables, 2: b2},
+        [*one.arcs, CausalArc(5, 2, 1.0, {1: {1: 0.5}}), CausalArc(6, 2, 1.0, {1: {1: 0.5}})],
+    )
+    ev = snapshot(1, {5: 1, 6: 1})
+    assert simplify(subs_by_root(kb)[1], ev).valid
+    session = DiagnosisSession(kb)
+    report = session.diagnose_tick(ev)
+    assert report.status == "diagnosed" and session.alive_roots == (2,)
+
+    simplified = []
+    real = ducg.engine.simplify
+
+    def counted(sub, ev):
+        simplified.append(sub.root)
+        return real(sub, ev)
+
+    monkeypatch.setattr(ducg.engine, "simplify", counted)
+    session.diagnose_tick(snapshot(2, {5: 1, 6: 1}))
+    assert simplified == [2]
 
 
 def test_session_timing_is_recorded(tworoot_reports):
@@ -534,9 +567,8 @@ def _uncached_hypotheses(kb, snapshots):
     out = []
     for ev in snapshots:
         slices = (simplify(subs[root], ev) for root in alive)
-        graphs = [merge_cubic(None, s) for s in slices if s.valid]
         try:
-            hypotheses = tuple(rank_hypotheses(graphs, ev, kb))
+            hypotheses = tuple(rank_hypotheses([s for s in slices if s.valid], kb))
         except EmptyHypothesisSpaceError:
             hypotheses = ()
         alive = sorted({h.root for h in hypotheses})
@@ -548,9 +580,9 @@ def _counting_evaluate(monkeypatch):
     calls = []
     evaluate = ducg.engine._evaluate
 
-    def counted(ev, cubic, kb):
-        calls.append(cubic.root)
-        return evaluate(ev, cubic, kb)
+    def counted(g, kb):
+        calls.append(g.root)
+        return evaluate(g, kb)
 
     monkeypatch.setattr(ducg.engine, "_evaluate", counted)
     return calls
@@ -670,8 +702,7 @@ def test_predict_golden_first_tick(tworoot_kb, tworoot_signals):
     _, session = run_scenario(tworoot_kb, tworoot_signals)
     # rebuild the first-tick state for B1 directly
     subs = subs_by_root(tworoot_kb)
-    cubic = merge_cubic(None, simplify(subs[1], snapshot(14, T1)))
-    rows = predict(cubic, tworoot_kb, RootLiteral(1, 1))
+    rows = predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(1, 1))
     assert rows == [
         (3, 1, pytest.approx(0.5)),
         (6, 1, pytest.approx(0.4)),
@@ -681,8 +712,7 @@ def test_predict_golden_first_tick(tworoot_kb, tworoot_signals):
 
 def test_predict_excludes_current_abnormal_and_roots(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    cubic = merge_cubic(None, simplify(subs[2], snapshot(16, T2)))
-    rows = predict(cubic, tworoot_kb, RootLiteral(2, 2))
+    rows = predict(simplify(subs[2], snapshot(16, T2)), tworoot_kb, RootLiteral(2, 2))
     assert rows == [(7, 1, pytest.approx(0.8)), (4, 1, pytest.approx(0.35))]
     predicted = {v for v, _, _ in rows}
     assert 5 not in predicted and 6 not in predicted  # currently abnormal
@@ -691,15 +721,13 @@ def test_predict_excludes_current_abnormal_and_roots(tworoot_kb):
 
 def test_predict_rejects_foreign_hypothesis(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    cubic = merge_cubic(None, simplify(subs[1], snapshot(14, T1)))
     with pytest.raises(RootMismatchError):
-        predict(cubic, tworoot_kb, RootLiteral(2, 1))
+        predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(2, 1))
 
 
 def test_predict_ignores_self_arcs(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    cubic = merge_cubic(None, simplify(subs[1], snapshot(14, T1)))
-    rows = predict(cubic, tworoot_kb, RootLiteral(1, 1))
+    rows = predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(1, 1))
     # X4's only mass comes through X5 (0.7·0.1); the X4←X4 loop adds nothing
     assert dict(((v, s), p) for v, s, p in rows)[(4, 1)] == pytest.approx(0.07)
 

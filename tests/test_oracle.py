@@ -9,7 +9,6 @@ from ducg import (
     CausalArc,
     Condition,
     ConditionLiteral,
-    CubicGraph,
     EvidenceSnapshot,
     KnowledgeBase,
     RootLiteral,
@@ -21,7 +20,6 @@ from ducg import (
     eval_expression,
     expand,
     factored_joints,
-    merge_cubic,
     predict,
     rank_hypotheses,
     simplify,
@@ -43,7 +41,7 @@ def test_fixture_zeta_matches_oracle(tworoot_kb):
     ev = EvidenceSnapshot.build(14, {3: 0, 5: 1, 6: 0})
     sub = next(s for s in decompose(tworoot_kb) if s.root == 2)
     s = simplify(sub, ev)
-    expr = expand(ev, merge_cubic(None, s), tworoot_kb)
+    expr = expand(s, tworoot_kb)
     zeta = eval_expression(expr, tworoot_kb)
     assert zeta == pytest.approx(
         enumerate_joint(tworoot_kb, s.variables, s.arcs, dict(s.states)), abs=1e-12
@@ -73,9 +71,8 @@ def test_factored_expand_and_oracle_agree(with_default_cause):
             s = simplify(sub, ev)
             if not s.valid:
                 continue
-            cubic = merge_cubic(None, s)
-            joints = factored_joints(ev, cubic, kb)
-            expr = expand(ev, cubic, kb)
+            joints = factored_joints(s, kb)
+            expr = expand(s, kb)
             evidence = dict(s.states)
             checks = [(
                 "zeta",
@@ -116,7 +113,7 @@ def test_predict_matches_oracle_forward_marginals(with_default_cause):
             quiet = SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
             root = kb.variables[sub.root]
             for s in root.abnormal_state_ids:
-                rows = predict(CubicGraph(sub.root, quiet), kb, RootLiteral(sub.root, s))
+                rows = predict(quiet, kb, RootLiteral(sub.root, s))
                 got = {(v, k): p for v, k, p in rows}
                 for v in sorted(sub.variables):
                     if kb.variables[v].kind != "X":
@@ -156,12 +153,11 @@ def test_parallel_arcs_match_oracle(second_intensity):
     ev = EvidenceSnapshot.build(1, {2: 1})
     s = simplify(decompose(kb)[0], ev)
     assert len(s.arcs) == 2
-    cubic = merge_cubic(None, s)
     expected = enumerate_joint(kb, s.variables, s.arcs, dict(s.states))
     assert expected == pytest.approx(0.1 * (0.6 + second_intensity) / 2, rel=1e-12)
-    assert eval_expression(expand(ev, cubic, kb), kb) == pytest.approx(expected, rel=1e-12)
-    assert sum(factored_joints(ev, cubic, kb).values()) == pytest.approx(expected, rel=1e-12)
-    (best,) = rank_hypotheses([cubic], ev, kb)
+    assert eval_expression(expand(s, kb), kb) == pytest.approx(expected, rel=1e-12)
+    assert sum(factored_joints(s, kb).values()) == pytest.approx(expected, rel=1e-12)
+    (best,) = rank_hypotheses([s], kb)
     assert best.zeta == pytest.approx(expected, rel=1e-12)
 
 
@@ -174,7 +170,7 @@ def test_battery_is_deterministic(seed):
         for sub in decompose(kb):
             s = simplify(sub, ev)
             if s.valid:
-                expr = expand(ev, merge_cubic(None, s), kb)
+                expr = expand(s, kb)
                 out.append((sub.root, expr, eval_expression(expr, kb)))
         return out
 
@@ -190,13 +186,13 @@ def test_posteriors_normalize(seed):
     for sub in decompose(kb):
         s = simplify(sub, ev)
         if s.valid:
-            graphs.append(merge_cubic(None, s))
+            graphs.append(s)
     if not graphs:
         pytest.skip("evidence outside every root's reach for this seed")
     from ducg import EmptyHypothesisSpaceError
 
     try:
-        results = rank_hypotheses(graphs, ev, kb)
+        results = rank_hypotheses(graphs, kb)
     except EmptyHypothesisSpaceError:
         pytest.skip("evidence probability zero on every graph for this seed")
     assert sum(h.posterior for h in results) == pytest.approx(1.0, abs=1e-9)

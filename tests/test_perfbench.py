@@ -1,7 +1,8 @@
 """Short runs of the benchmark: each must end in a well-formed, correct result
 line that carries every metric ``BENCHMARK.json`` declares. Every workload
 runs both untraced and traced, and each traced metric but the tracer's
-overhead must be above zero."""
+overhead must be above zero. The runs are marked ``slow``: ``pytest -m "not
+slow"`` leaves them out."""
 
 import json
 import math
@@ -27,6 +28,7 @@ RUNS = {
 MAY_BE_NONPOSITIVE = {"trace.overhead_pct"}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_benchmark_run_ends_in_a_correct_result_line(run):
     workload, *flags = RUNS[run]
