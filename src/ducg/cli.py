@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import IO, Iterable
@@ -145,7 +146,7 @@ def _run_feed(
             report = session.diagnose_tick(snapshot)
             _emit_report(report, kb, out, pretty=pretty, with_timing=with_timing)
             if dot_dir is not None:
-                _write_dots(report, kb, dot_dir)
+                _write_dots(session, kb, dot_dir)
             if report.status == "unexplained":
                 exit_code = 2
         elif verbose:
@@ -155,18 +156,17 @@ def _run_feed(
                 hypotheses=(),
                 abnormal=tuple(snapshot.abnormal_items()),
                 normal=tuple(snapshot.normal_items()),
-                graphs={},
                 timing_ms=0.0,
             )
             _emit_report(idle, kb, out, pretty=pretty, with_timing=with_timing)
     return exit_code
 
 
-def _write_dots(report: DiagnosisReport, kb: KnowledgeBase, dot_dir: str) -> None:
+def _write_dots(session: DiagnosisSession, kb: KnowledgeBase, dot_dir: str) -> None:
     directory = Path(dot_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for root in sorted(report.graphs):
-        cubic = report.graphs[root]
+    for root in session.alive_roots:
+        cubic = session.cubic(root)
         name = f"cubic_B{root}_t{len(cubic.slices)}.dot"
         (directory / name).write_text(export_dot(cubic, kb), encoding="utf-8")
 
@@ -239,15 +239,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         )
         return 1
     session = DiagnosisSession(kb)
-    _run_feed(
-        kb,
-        lines,
-        _NullWriter(),
-        sys.stderr,
-        with_timing=False,
-        recovery_retrigger=not args.no_recovery_retrigger,
-        session=session,
-    )
+    with open(os.devnull, "w") as devnull:
+        _run_feed(
+            kb,
+            lines,
+            devnull,
+            sys.stderr,
+            with_timing=False,
+            recovery_retrigger=not args.no_recovery_retrigger,
+            session=session,
+        )
     cubic = session.cubic(args.root)
     if cubic is not None:
         g = cubic.latest
@@ -271,14 +272,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, separators=_JSON_SEPARATORS))
     return 0
-
-
-class _NullWriter:
-    def write(self, _text: str) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
 
 
 def _add_feed_flags(sub: argparse.ArgumentParser) -> None:

@@ -24,9 +24,8 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
         "  rankdir=LR;",
         '  node [fontname="Helvetica"];',
     ]
-    tick_to_ordinal: dict[int, int] = {}
-    for ordinal, s in enumerate(cubic.slices, start=1):
-        tick_to_ordinal[s.tick] = ordinal
+    slices = cubic.slices
+    for ordinal, s in enumerate(slices, start=1):
         lines.append(f"  subgraph cluster_t{ordinal} {{")
         lines.append(f'    label="t_{ordinal} (tick {s.tick})";')
         for var_id in sorted(s.variables):
@@ -47,9 +46,11 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
                 f'"{_node_name(ordinal, arc.child)}";'
             )
         lines.append("  }")
-    for link in cubic.linkage:
-        a = _node_name(tick_to_ordinal[link.from_tick], link.var)
-        b = _node_name(tick_to_ordinal[link.to_tick], link.var)
-        lines.append(f'  "{a}" -> "{b}" [style=dashed, constraint=false];')
+    for ordinal, (a, b) in enumerate(zip(slices, slices[1:]), start=1):
+        for var_id in sorted(a.variables & b.variables):
+            lines.append(
+                f'  "{_node_name(ordinal, var_id)}" -> "{_node_name(ordinal + 1, var_id)}" '
+                "[style=dashed, constraint=false];"
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,14 +1,14 @@
 """Per-tick causal inference over time-layered fault graphs.
 
 For every fault root the engine keeps a *cubic* graph: a persistent chain of
-per-tick simplified slices, appended in O(1), whose linkage edges are derived
-on read. A session keeps the earlier slices only when asked to (DOT export
-draws them); otherwise each root holds just its latest slice. A slice holds
-the snapshot's evidence on the root's graph (``states``), so the evaluators,
-ranking and ``predict`` read one ``SliceGraph``, never the snapshot or the
-cubic graph. Each triggering snapshot is explained on the latest slice of
-every surviving root by one of two evaluators, which give its evidence
-probability ζ and the joint of each fault state; the states are then ranked:
+per-tick simplified slices, appended in O(1). A session keeps the earlier
+slices only when asked to (DOT export draws them); otherwise each root holds
+just its latest slice. A slice holds the snapshot's evidence on the root's
+graph (``states``), so validity, the evaluators, ranking and ``predict`` read
+one ``SliceGraph``, never the cubic graph. Each triggering snapshot is
+explained on the latest slice of every surviving root by one of two
+evaluators, which give its evidence probability ζ and the joint of each fault
+state; the states are then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
@@ -61,7 +61,6 @@ from .algebra import (
 )
 from .errors import (
     CycleLimitError,
-    EmptyHypothesisSpaceError,
     InvalidKnowledgeBaseError,
     NoAbnormalEvidenceError,
     RootMismatchError,
@@ -97,15 +96,6 @@ class SliceGraph:
     unexplained: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinkEdge:
-    """Joins the two instances of one variable in consecutive slices."""
-
-    var: int
-    from_tick: int
-    to_tick: int
-
-
 @dataclass(frozen=True, eq=False)
 class CubicGraph:
     """One root's time-layered graph: its latest slice and the graph it extends,
@@ -123,16 +113,6 @@ class CubicGraph:
             stack.append(node.latest)
             node = node.previous
         return tuple(reversed(stack))
-
-    @property
-    def linkage(self) -> tuple[LinkEdge, ...]:
-        """An edge per variable shared by consecutive slices, in slice, then id order."""
-        slices = self.slices
-        return tuple(
-            LinkEdge(var=v, from_tick=a.tick, to_tick=b.tick)
-            for a, b in zip(slices, slices[1:])
-            for v in sorted(a.variables & b.variables)
-        )
 
 
 def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
@@ -235,9 +215,8 @@ def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph) -> CubicGraph
     return CubicGraph(root=new_slice.root, latest=new_slice, previous=prev)
 
 
-def check_valid(cubic: CubicGraph, ev: EvidenceSnapshot) -> bool:
-    """True iff the latest slice explains every abnormal observation of ``ev``."""
-    g = cubic.latest
+def check_valid(g: SliceGraph, ev: EvidenceSnapshot) -> bool:
+    """True iff slice ``g`` explains every abnormal observation of ``ev``."""
     return not _unexplained(ev, g.scope, _downstream(g.root, g.arcs))
 
 
@@ -627,21 +606,16 @@ def rank_hypotheses(
     """Score every abnormal root state of every surviving root's slice.
 
     posterior = xi · joint / zeta, with xi = zeta / Σ zeta over slices of
-    positive evidence probability. Hypotheses with zero joint are dropped.
-    ζ and the joints come through ``memo`` when one is given.
+    positive evidence probability. Hypotheses with zero joint are dropped,
+    so no slice, or none of positive ζ, gives an empty list. ζ and the joints
+    come through ``memo`` when one is given.
     """
-    if not slices:
-        raise EmptyHypothesisSpaceError("no graphs survive the evidence")
     evaluate = _evaluate if memo is None else memo.evaluate
     evaluated: list[tuple[SliceGraph, float, dict[int, float]]] = []
     for g in slices:
         zeta, joints = evaluate(g, kb)
         if zeta > 0.0:
             evaluated.append((g, zeta, joints))
-    if not evaluated:
-        raise EmptyHypothesisSpaceError(
-            "evidence has probability zero on every surviving graph"
-        )
     total = sum(z for _, z, _ in evaluated)
 
     results: list[HypothesisResult] = []
@@ -673,7 +647,6 @@ class DiagnosisReport:
     hypotheses: tuple[HypothesisResult, ...]
     abnormal: tuple[tuple[int, int], ...]
     normal: tuple[tuple[int, int], ...]
-    graphs: Mapping[int, CubicGraph]
     timing_ms: float
 
 
@@ -717,16 +690,13 @@ class DiagnosisSession:
             if not s.valid:
                 continue
             cubic = merge_cubic(self._cubics.get(root) if self._history else None, s)
-            if not check_valid(cubic, ev):
+            if not check_valid(s, ev):
                 continue
             survivors[root] = cubic
 
-        try:
-            hypotheses = rank_hypotheses(
-                [c.latest for c in survivors.values()], self.kb, memo=self._memo
-            )
-        except EmptyHypothesisSpaceError:
-            hypotheses = []
+        hypotheses = rank_hypotheses(
+            [c.latest for c in survivors.values()], self.kb, memo=self._memo
+        )
         ranked_roots = {h.root for h in hypotheses}
         self._cubics = {r: survivors[r] for r in sorted(ranked_roots)}
         self._alive = set(ranked_roots)
@@ -745,7 +715,6 @@ class DiagnosisSession:
             hypotheses=tuple(hypotheses),
             abnormal=tuple(ev.abnormal_items()),
             normal=tuple(ev.normal_items()),
-            graphs=dict(self._cubics),
             timing_ms=elapsed_ms,
         )
 
@@ -768,16 +737,27 @@ def predict(g: SliceGraph, kb: KnowledgeBase, hyp: RootLiteral) -> list[tuple[in
             f"hypothesis {hyp.var} does not match graph root {g.root}"
         )
     # the subgraph's arcs in ``decompose``'s order: ``kb.arcs`` is sorted by child
-    families = _families(
+    arcs = [
         a for a in kb.arcs
         if a.child != a.parent and a.child in g.scope and a.parent in g.scope
-    )
+    ]
+    families = _families(arcs)
+    # a chain's value reads ``seen`` only on the variable's ancestors, so that
+    # part of it keys the memo; on a DAG it is empty and each call runs once
+    ancestors = {
+        v: frozenset(_upstream_of([arc.parent for arc, _, _ in family], arcs))
+        for v, family in families.items()
+    }
+    memo: dict[tuple[int, int, frozenset[int]], float] = {}
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == hyp.var:
             return 1.0 if state == hyp.state else 0.0
         if kb.variables[var].kind == "D":
             return 1.0
+        key = (var, state, seen.intersection(ancestors.get(var, ())))
+        if key in memo:
+            return memo[key]
         total = 0.0
         for arc, share, _ in families.get(var, ()):
             if arc.parent in seen:
@@ -790,6 +770,7 @@ def predict(g: SliceGraph, kb: KnowledgeBase, hyp: RootLiteral) -> list[tuple[in
                 total += share * intensity * chain_probability(
                     arc.parent, j, seen | {var}
                 )
+        memo[key] = total
         return total
 
     rows: list[tuple[int, int, float]] = []

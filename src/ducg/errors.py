@@ -109,7 +109,3 @@ class CycleLimitError(DucgError):
 
 class MissingParameterError(DucgError):
     code = "MISSING_PARAMETER"
-
-
-class EmptyHypothesisSpaceError(DucgError):
-    code = "EMPTY_HYPOTHESIS_SPACE"

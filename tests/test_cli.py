@@ -132,6 +132,21 @@ def test_replay_no_timing_is_deterministic():
     assert all(r["timing_ms"] == 0.0 for r in json_lines(first.stdout))
 
 
+def test_replay_no_recovery_retrigger_skips_recovery_ticks(tmp_path):
+    # X5 and X6 turn abnormal at tick 1; X5 alone recovers at tick 2
+    feed = tmp_path / "recovery.csv"
+    feed.write_text("1,MP05,2.0\n1,MP06,2.0\n2,MP05,0.5\n")
+    ticks = {}
+    for flags in ((), ("--no-recovery-retrigger",)):
+        proc = run_cli(
+            "replay", "--kb", str(DATA / "tworoot_kb.json"), "--signals", str(feed),
+            "--no-timing", *flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ticks[flags] = [r["tick"] for r in json_lines(proc.stdout)]
+    assert ticks == {(): [1, 2], ("--no-recovery-retrigger",): [1]}
+
+
 def test_replay_all_normal_feed_is_silent():
     proc = replay(signals="tworoot_allnormal_signals.csv")
     assert proc.returncode == 0

@@ -40,7 +40,7 @@ def test_dot_marks_abnormal_nodes_and_linkage(tworoot_kb, tworoot_signals):
     # abnormal X5 in the first slice is filled; its label carries the state name
     assert '"t1_v5" [label="X5\\nabnormal", shape=ellipse, style=filled' in dot
     dashed = [l for l in dot.splitlines() if "style=dashed" in l]
-    assert len(dashed) == len(cubic.linkage) == 6
+    assert len(dashed) == 6
     assert all("constraint=false" in l for l in dashed)
     assert '"t1_v5" -> "t2_v5" [style=dashed, constraint=false];' in dot
 
@@ -65,6 +65,24 @@ def test_dot_renders_single_slice(tworoot_kb):
     assert "style=dashed" not in dot
     assert '"t1_v1" -> "t1_v5";' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_links_consecutive_slices_of_one_snapshot(tworoot_kb):
+    """Two slices of the same tick are still two layers: every dashed edge
+    joins layer 1 to layer 2, none loops on one node."""
+    from ducg import DiagnosisSession, EvidenceSnapshot
+
+    session = DiagnosisSession(tworoot_kb, history=True)
+    ev = EvidenceSnapshot.build(14, {3: 0, 5: 1, 6: 0})
+    session.diagnose_tick(ev)
+    session.diagnose_tick(ev)
+    cubic = session.cubic(2)
+    dot = export_dot(cubic, tworoot_kb)
+    dashed = [l for l in dot.splitlines() if "style=dashed" in l]
+    want = sorted(cubic.latest.variables)
+    assert dashed == [
+        f'  "t1_v{v}" -> "t2_v{v}" [style=dashed, constraint=false];' for v in want
+    ]
 
 
 @pytest.mark.parametrize("fixture", ["tworoot", "plant24"])

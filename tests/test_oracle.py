@@ -189,11 +189,8 @@ def test_posteriors_normalize(seed):
             graphs.append(s)
     if not graphs:
         pytest.skip("evidence outside every root's reach for this seed")
-    from ducg import EmptyHypothesisSpaceError
-
-    try:
-        results = rank_hypotheses(graphs, kb)
-    except EmptyHypothesisSpaceError:
+    results = rank_hypotheses(graphs, kb)
+    if not results:
         pytest.skip("evidence probability zero on every graph for this seed")
     assert sum(h.posterior for h in results) == pytest.approx(1.0, abs=1e-9)
 

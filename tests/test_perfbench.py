@@ -2,8 +2,11 @@
 line that carries every metric ``BENCHMARK.json`` declares. Every workload
 runs both untraced and traced, and each traced metric but the tracer's
 overhead must be above zero. The runs are marked ``slow``: ``pytest -m "not
-slow"`` leaves them out."""
+slow"`` leaves them out; the check that every name the tracer patches still
+exists is not."""
 
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -56,3 +59,20 @@ def test_benchmark_run_ends_in_a_correct_result_line(run):
             if m["name"] not in MAY_BE_NONPOSITIVE and not result["metrics"][m["name"]]["value"] > 0
         ]
         assert not zero, zero
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """A name the tracer patches that the program no longer has reads as
+    ``absent`` in the traced runs; this catches it without running them."""
+    spec = importlib.util.spec_from_file_location("perfbench_trace", ROOT / "perfbench" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, trace)  # its dataclasses look it up
+    spec.loader.exec_module(trace)
+    missing = []
+    for target in trace.TARGETS:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{target.module}.{target.attr}")
+    assert trace.TARGETS and not missing, missing
