@@ -22,7 +22,7 @@ Products are kept in a canonical sorted order so equal expressions compare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import MissingParameterError
 from .kb import KnowledgeBase

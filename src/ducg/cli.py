@@ -18,12 +18,13 @@ from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
 from .engine import DiagnosisReport, DiagnosisSession, SliceGraph, predict
-from .errors import DucgError, OutOfRangeError
+from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
-from .signals import Reading, ingest_tick, iter_reading_groups, map_reading
+from .signals import ingest_tick, iter_reading_groups
 
 _JSON_SEPARATORS = (",", ":")
 _PROBABILITY_FLOOR = 1e-5
+_NO_RECOVERY_RETRIGGER_HELP = "do not re-diagnose when an abnormal variable returns to normal"
 
 
 def _load_kb(path: str) -> KnowledgeBase:
@@ -101,7 +102,7 @@ def _emit_report(
 
 
 def _run_feed(
-    kb: KnowledgeBase,
+    session: DiagnosisSession,
     lines: Iterable[str],
     out: IO[str],
     err: IO[str],
@@ -111,34 +112,20 @@ def _run_feed(
     with_timing: bool = True,
     dot_dir: str | None = None,
     recovery_retrigger: bool = True,
-    session: DiagnosisSession | None = None,
 ) -> int:
-    session = session or DiagnosisSession(kb, history=dot_dir is not None)
+    kb = session.kb
     prev = None
     exit_code = 0
 
-    def warn(line_no: int, exc: Exception) -> None:
+    def warn_line(line_no: int, exc: Exception) -> None:
         print(f"warning: line {line_no}: {exc}", file=err)
 
-    for tick, readings in iter_reading_groups(lines, on_error=warn):
-        usable: list[Reading] = []
-        for reading in readings:
-            var_id = kb.measure_points.get(reading.measure_point)
-            if var_id is None:
-                print(
-                    f"warning: tick {tick}: unknown measure point "
-                    f"{reading.measure_point!r}",
-                    file=err,
-                )
-                continue
-            try:
-                map_reading(kb.variables[var_id], reading.value)
-            except OutOfRangeError as exc:
-                print(f"warning: tick {tick}: {exc}", file=err)
-                continue
-            usable.append(reading)
+    def warn_tick(tick: int, exc: Exception) -> None:
+        print(f"warning: tick {tick}: {exc}", file=err)
+
+    for tick, readings in iter_reading_groups(lines, on_error=warn_line):
         snapshot, trigger = ingest_tick(
-            prev, usable, kb, retrigger_on_recovery=recovery_retrigger, tick=tick
+            prev, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
         )
         prev = snapshot
 
@@ -211,7 +198,7 @@ def _open_feed(args: argparse.Namespace) -> tuple[KnowledgeBase, Iterable[str]]:
 def _cmd_replay(args: argparse.Namespace) -> int:
     kb, lines = _open_feed(args)
     return _run_feed(
-        kb,
+        DiagnosisSession(kb, history=args.dot_dir is not None),
         lines,
         sys.stdout,
         sys.stderr,
@@ -241,13 +228,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     session = DiagnosisSession(kb)
     with open(os.devnull, "w") as devnull:
         _run_feed(
-            kb,
+            session,
             lines,
             devnull,
             sys.stderr,
             with_timing=False,
             recovery_retrigger=not args.no_recovery_retrigger,
-            session=session,
         )
     cubic = session.cubic(args.root)
     if cubic is not None:
@@ -283,7 +269,7 @@ def _add_feed_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--no-recovery-retrigger",
         action="store_true",
-        help="do not re-diagnose when an abnormal variable returns to normal",
+        help=_NO_RECOVERY_RETRIGGER_HELP,
     )
 
 
@@ -324,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-recovery-retrigger",
         action="store_true",
-        help=argparse.SUPPRESS,
+        help=_NO_RECOVERY_RETRIGGER_HELP,
     )
     p.set_defaults(func=_cmd_predict)
 

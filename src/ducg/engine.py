@@ -666,17 +666,15 @@ class DiagnosisSession:
         if violations:
             raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
+        # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
         self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
         self._cubics: dict[int, CubicGraph] = {}
-        self._alive: set[int] | None = None  # None until the first diagnosis
         self._history = history
         self._memo = EvaluationMemo()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
-        if self._alive is None:
-            return tuple(sorted(self._subs))
-        return tuple(sorted(self._alive))
+        return tuple(self._subs)
 
     def cubic(self, root: int) -> Optional[CubicGraph]:
         return self._cubics.get(root)
@@ -685,8 +683,8 @@ class DiagnosisSession:
         """Explain one triggering snapshot; shrink the hypothesis space."""
         started = time.perf_counter()
         survivors: dict[int, CubicGraph] = {}
-        for root in self.alive_roots:
-            s = simplify(self._subs[root], ev)
+        for root, sub in self._subs.items():
+            s = simplify(sub, ev)
             if not s.valid:
                 continue
             cubic = merge_cubic(self._cubics.get(root) if self._history else None, s)
@@ -698,8 +696,8 @@ class DiagnosisSession:
             [c.latest for c in survivors.values()], self.kb, memo=self._memo
         )
         ranked_roots = {h.root for h in hypotheses}
-        self._cubics = {r: survivors[r] for r in sorted(ranked_roots)}
-        self._alive = set(ranked_roots)
+        self._subs = {r: sub for r, sub in self._subs.items() if r in ranked_roots}
+        self._cubics = {r: survivors[r] for r in self._subs}
         self._memo.keep_only(ranked_roots)
 
         if len(ranked_roots) == 1:

@@ -80,7 +80,7 @@ class UnknownMeasurePointError(DucgError):
     code = "UNKNOWN_MEASURE_POINT"
 
     def __init__(self, measure_point: str):
-        super().__init__(f"no variable is bound to measure point {measure_point!r}")
+        super().__init__(f"unknown measure point {measure_point!r}")
         self.measure_point = measure_point
 
 

@@ -106,7 +106,7 @@ def ingest_tick(
     kb: KnowledgeBase,
     *,
     retrigger_on_recovery: bool = True,
-    tick: int | None = None,
+    on_error: Callable[[int, Exception], None] | None = None,
 ) -> tuple[EvidenceSnapshot, bool]:
     """Fold one tick of readings into the evidence state.
 
@@ -114,23 +114,27 @@ def ingest_tick(
     abnormal state assignments changed: a variable became abnormal, an
     abnormal variable changed abnormal state, or — unless
     ``retrigger_on_recovery`` is off — an abnormal variable returned to
-    normal.
+    normal. A reading of an unknown measure point or of a value outside
+    every interval raises, or with ``on_error`` is reported as (tick,
+    exception) and skipped. An empty batch keeps ``prev``'s tick, or 0.
     """
     readings = list(readings)
     ticks = {r.tick for r in readings}
     if len(ticks) > 1:
         raise ValueError(f"readings span multiple ticks: {sorted(ticks)}")
-    if ticks:
-        tick = ticks.pop()
-    elif tick is None:
-        tick = prev.tick if prev is not None else 0
+    tick = ticks.pop() if ticks else (prev.tick if prev else 0)
 
     assignments: dict[int, int] = dict(prev.assignments) if prev else {}
     for reading in readings:  # later readings of one channel overwrite earlier
-        var_id = kb.measure_points.get(reading.measure_point)
-        if var_id is None:
-            raise UnknownMeasurePointError(reading.measure_point)
-        assignments[var_id] = map_reading(kb.variables[var_id], reading.value)
+        try:
+            var_id = kb.measure_points.get(reading.measure_point)
+            if var_id is None:
+                raise UnknownMeasurePointError(reading.measure_point)
+            assignments[var_id] = map_reading(kb.variables[var_id], reading.value)
+        except (UnknownMeasurePointError, OutOfRangeError) as exc:
+            if on_error is None:
+                raise
+            on_error(tick, exc)
 
     snapshot = EvidenceSnapshot.build(tick, assignments)
 

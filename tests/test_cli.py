@@ -200,6 +200,33 @@ def test_replay_warns_on_out_of_range_value(tmp_path):
     assert len(json_lines(proc.stdout)) == 1
 
 
+def test_replay_maps_each_usable_reading_once(monkeypatch, capsys):
+    import ducg.cli
+    import ducg.signals
+    from ducg import iter_reading_groups, parse_kb
+
+    signals = DATA / "tworoot_signals.csv"
+    kb = parse_kb((DATA / "tworoot_kb.json").read_text())
+    known = sum(
+        r.measure_point in kb.measure_points
+        for _, readings in iter_reading_groups(signals.read_text().splitlines())
+        for r in readings
+    )
+    calls = []
+    real = ducg.signals.map_reading
+
+    def counted(var, value):
+        calls.append((var.id, value))
+        return real(var, value)
+
+    monkeypatch.setattr(ducg.signals, "map_reading", counted)
+    monkeypatch.setattr(ducg.cli, "map_reading", counted, raising=False)
+    argv = ["replay", "--kb", str(DATA / "tworoot_kb.json"), "--signals", str(signals), "--no-timing"]
+    assert ducg.cli.main(argv) == 0
+    assert len(json_lines(capsys.readouterr().out)) == 3
+    assert len(calls) == known == 12
+
+
 def test_replay_pretty_renders_table():
     proc = replay("--pretty", "--no-timing")
     assert proc.returncode == 0
@@ -315,6 +342,29 @@ def test_predict_before_any_trigger_scores_every_observable():
         (5, 1, pytest.approx(0.1)),
         (4, 1, pytest.approx(0.07)),
     ]
+
+
+def test_predict_no_recovery_retrigger_keeps_the_recovery_tick_out(tmp_path):
+    # X5 and X6 turn abnormal at tick 1; X5 recovers at tick 2. By default the
+    # recovery re-diagnoses, so X5 is normal in root 2's slice and predicted
+    feed = tmp_path / "recovery.csv"
+    feed.write_text("1,MP05,3.2\n1,MP06,4.0\n2,MP05,0.1\n")
+    rows = {}
+    for flags in ((), ("--no-recovery-retrigger",)):
+        proc = run_cli(
+            "predict", "--kb", str(DATA / "tworoot_kb.json"), "--signals", str(feed),
+            "--root", "2", "--state", "1", *flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows[flags] = {(p["var"], p["state"]): p["probability"] for p in json.loads(proc.stdout)["predictions"]}
+    assert rows[()][(5, 1)] == pytest.approx(0.5)
+    assert (5, 1) not in rows[("--no-recovery-retrigger",)]
+
+
+def test_predict_help_lists_no_recovery_retrigger():
+    proc = run_cli("predict", "--help")
+    assert proc.returncode == 0
+    assert "--no-recovery-retrigger" in proc.stdout
 
 
 # --- formatting -------------------------------------------------------------------

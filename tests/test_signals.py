@@ -59,8 +59,31 @@ def test_map_reading_out_of_range(tworoot_kb):
 
 
 def test_ingest_unknown_measure_point(tworoot_kb):
-    with pytest.raises(UnknownMeasurePointError):
+    with pytest.raises(UnknownMeasurePointError, match="^unknown measure point 'MP99'$"):
         ingest_tick(None, [Reading(1, "MP99", 0.0)], tworoot_kb)
+
+
+def test_ingest_reports_and_skips_unusable_readings(tworoot_kb):
+    prev, _ = ingest_tick(None, [Reading(6, "MP03", 0.5)], tworoot_kb)
+    errors = []
+    readings = [
+        Reading(7, "MP99", 1.0),
+        Reading(7, "MP05", 3.2),
+        Reading(7, "MP06", 500.0),
+        Reading(7, "MP77", 2.0),
+        Reading(7, "MP04", 2.0),
+    ]
+    snap, trig = ingest_tick(
+        prev, readings, tworoot_kb, on_error=lambda tick, exc: errors.append((tick, exc))
+    )
+    assert [(tick, type(exc)) for tick, exc in errors] == [
+        (7, UnknownMeasurePointError),
+        (7, OutOfRangeError),
+        (7, UnknownMeasurePointError),
+    ]
+    assert [errors[0][1].measure_point, errors[2][1].measure_point] == ["MP99", "MP77"]
+    assert snap.tick == 7 and trig
+    assert snap.assignments == {3: 0, 5: 1, 4: 1}
 
 
 def test_snapshot_split_between_abnormal_and_normal():
@@ -109,9 +132,16 @@ def test_ingest_unobserved_is_not_normal(tworoot_kb):
 
 def test_ingest_assignments_persist_across_ticks(tworoot_kb):
     prev, _ = ingest_tick(None, [Reading(14, "MP05", 3.2)], tworoot_kb)
-    snap, _ = ingest_tick(prev, [], tworoot_kb, tick=15)
-    assert snap.assignments == {5: 1}
+    snap, _ = ingest_tick(prev, [Reading(15, "MP03", 0.0)], tworoot_kb)
+    assert snap.assignments == {5: 1, 3: 0}
     assert snap.tick == 15
+
+
+def test_ingest_empty_batch_keeps_previous_tick(tworoot_kb):
+    assert ingest_tick(None, [], tworoot_kb)[0].tick == 0
+    prev, _ = ingest_tick(None, [Reading(14, "MP05", 3.2)], tworoot_kb)
+    snap, trig = ingest_tick(prev, [], tworoot_kb)
+    assert (snap.tick, snap.assignments, trig) == (14, {5: 1}, False)
 
 
 def test_ingest_rejects_mixed_tick_batch(tworoot_kb):
