@@ -21,11 +21,13 @@ state; the states are then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session puts a per-root memo (``EvaluationMemo``) in front of the evaluator:
-a slice with the retained arcs and evidence states of one of the root's
-``_MEMO_PER_ROOT`` most recently used evaluations reuses that exact ζ and
-those joints, so a chattering channel that keeps bringing the same evidence
-back is evaluated once per pattern.
+A session puts a per-root memo (``EvaluationMemo``) in front of the whole
+per-root tick. It is keyed on the snapshot's assignments. A snapshot that
+matches one of the root's ``_MEMO_PER_ROOT`` most recently used keys reuses
+that slice (redrawn at the new tick), its ζ and its joints, with no
+``simplify``, ``check_valid`` or evaluation; so a chattering channel that
+keeps bringing the same evidence back is sliced and evaluated once per
+pattern.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from math import prod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
@@ -565,37 +567,51 @@ _MEMO_PER_ROOT = 16
 
 
 class EvaluationMemo:
-    """Each root's most recently used ``_evaluate`` results, at most
-    ``_MEMO_PER_ROOT`` of them, the least recently used evicted first.
+    """Each root's most recently used slices with their ``_evaluate`` results,
+    at most ``_MEMO_PER_ROOT`` of them, the least recently used evicted first.
 
-    The key is the ordered identities of the slice's retained arcs plus its
-    evidence states; with the root they fix the whole slice ``_evaluate``
-    reads, and the arcs carry every condition outcome, also of conditions on
-    variables outside the root's scope. Each entry holds its arcs, so their
-    identities cannot be reused while it lives.
+    The key is the snapshot's assignments as a frozenset of ``(var, state)``
+    pairs, built once per tick; its hash is computed once and kept, so every
+    root's lookup reuses it. Equal keys are the same evidence, so a stored
+    slice, which was valid, is the slice ``simplify`` would build again, and
+    the session looks the key up before ``simplify``. ``evaluate`` serves the
+    entry the session just looked up or stored for the slice's root.
     """
 
     def __init__(self) -> None:
-        self._by_root: dict[int, OrderedDict] = {}  # root -> key -> (arcs, (ζ, joints))
+        self._by_root: dict[int, OrderedDict] = {}  # root -> key -> [slice, (ζ, joints) or None]
+        self._serving: dict[int, tuple[SliceGraph, list]] = {}  # root -> (slice, its entry)
 
-    def evaluate(self, g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
-        key = (tuple(map(id, g.arcs)), tuple(g.states.items()))
-        entries = self._by_root.get(g.root)
-        if entries is None:
-            entries = self._by_root[g.root] = OrderedDict()
-        hit = entries.get(key)
-        if hit is not None:
-            entries.move_to_end(key)
-            return hit[1]
-        value = _evaluate(g, kb)
-        entries[key] = (g.arcs, value)
+    def lookup(self, root: int, key: frozenset, tick: int) -> Optional[SliceGraph]:
+        """The slice stored for ``root`` under ``key``, redrawn at ``tick``; None on a miss."""
+        entries = self._by_root.get(root, {})
+        entry = entries.get(key)
+        if entry is None:
+            return None
+        entries.move_to_end(key)
+        g = replace(entry[0], tick=tick)
+        self._serving[root] = (g, entry)
+        return g
+
+    def store(self, key: frozenset, g: SliceGraph) -> None:
+        """Keep valid slice ``g`` under ``key``; it is evaluated when first served."""
+        entries = self._by_root.setdefault(g.root, OrderedDict())
+        entry = entries[key] = [g, None]
         if len(entries) > _MEMO_PER_ROOT:
             entries.popitem(last=False)
-        return value
+        self._serving[g.root] = (g, entry)
+
+    def evaluate(self, g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
+        served, entry = self._serving[g.root]
+        assert served is g, "the memo serves only the slice it just looked up or stored"
+        if entry[1] is None:
+            entry[1] = _evaluate(g, kb)
+        return entry[1]
 
     def keep_only(self, roots: Collection[int]) -> None:
         """Forget every root outside ``roots``."""
         self._by_root = {r: e for r, e in self._by_root.items() if r in roots}
+        self._serving = {r: e for r, e in self._serving.items() if r in roots}
 
 
 def rank_hypotheses(
@@ -682,15 +698,18 @@ class DiagnosisSession:
     def diagnose_tick(self, ev: EvidenceSnapshot) -> DiagnosisReport:
         """Explain one triggering snapshot; shrink the hypothesis space."""
         started = time.perf_counter()
+        # A stored key holds an abnormal state, so evidence with none always
+        # misses and ``simplify`` raises on it.
+        key = frozenset(ev.assignments.items())
         survivors: dict[int, CubicGraph] = {}
         for root, sub in self._subs.items():
-            s = simplify(sub, ev)
-            if not s.valid:
-                continue
-            cubic = merge_cubic(self._cubics.get(root) if self._history else None, s)
-            if not check_valid(s, ev):
-                continue
-            survivors[root] = cubic
+            s = self._memo.lookup(root, key, ev.tick)
+            if s is None:
+                s = simplify(sub, ev)
+                if not (s.valid and check_valid(s, ev)):
+                    continue
+                self._memo.store(key, s)
+            survivors[root] = merge_cubic(self._cubics.get(root) if self._history else None, s)
 
         hypotheses = rank_hypotheses(
             [c.latest for c in survivors.values()], self.kb, memo=self._memo

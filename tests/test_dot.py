@@ -100,3 +100,24 @@ def test_replay_dot_files_match_golden_bytes(fixture, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_chatter_replay_matches_golden_bytes(tmp_path):
+    """X5 held abnormal while X6 chatters: from tick 3 on every root repeats
+    an earlier evidence pattern. At tick 13 X7, outside B1's graph, turns
+    abnormal, and B1 leaves."""
+    argv = (
+        "replay",
+        "--kb", str(DATA / "tworoot_kb.json"),
+        "--signals", str(DATA / "tworoot_chatter_signals.csv"),
+        "--no-timing",
+    )
+    want = (DATA / "tworoot_chatter_replay.jsonl").read_text(encoding="utf-8")
+    assert run_cli(*argv).stdout == want
+    proc = run_cli(*argv, "--dot-dir", str(tmp_path))
+    assert proc.returncode == 0 and proc.stdout == want
+    golden = DATA / "dot" / "tworoot_chatter"
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name

@@ -493,7 +493,8 @@ def test_session_validates_kb():
 def test_valid_root_of_zero_evidence_probability_leaves_for_good(monkeypatch):
     """B1's slice reaches X5 and X6, so it is valid, but X5 demands its state
     1 and X6 its state 2: ζ = 0. It leaves the hypothesis space, and the
-    next tick does not simplify it."""
+    next tick does not simplify it. That tick brings a new pattern, which B2
+    still explains, so B2 misses its memo and is simplified."""
     one = _inline_kb(
         arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}}), CausalArc(6, 1, 1.0, {1: {2: 0.5}})],
         extra_x=(5, 6),
@@ -518,8 +519,8 @@ def test_valid_root_of_zero_evidence_probability_leaves_for_good(monkeypatch):
         return real(sub, ev)
 
     monkeypatch.setattr(ducg.engine, "simplify", counted)
-    session.diagnose_tick(snapshot(2, {5: 1, 6: 1}))
-    assert simplified == [2]
+    session.diagnose_tick(snapshot(2, {5: 1, 6: 0}))
+    assert simplified == [2] and session.alive_roots == (2,)
 
 
 def test_session_timing_is_recorded(tworoot_reports):
@@ -552,32 +553,62 @@ def _uncached_hypotheses(kb, snapshots):
     return out
 
 
-def _counting_evaluate(monkeypatch):
+def _counting(monkeypatch, name="_evaluate"):
+    """Record the root of every call the session makes to ``ducg.engine.<name>``."""
     calls = []
-    evaluate = ducg.engine._evaluate
+    real = getattr(ducg.engine, name)
 
-    def counted(g, kb):
-        calls.append(g.root)
-        return evaluate(g, kb)
+    def counted(first, *rest):
+        calls.append(first.root)
+        return real(first, *rest)
 
-    monkeypatch.setattr(ducg.engine, "_evaluate", counted)
+    monkeypatch.setattr(ducg.engine, name, counted)
     return calls
 
 
 def test_memoised_session_equals_uncached_on_alternating_stream(tworoot_kb, monkeypatch):
     snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(2000)]
-    calls = _counting_evaluate(monkeypatch)
+    counted = {name: _counting(monkeypatch, name) for name in ("simplify", "check_valid", "_evaluate")}
     session = DiagnosisSession(tworoot_kb)
     reports = [session.diagnose_tick(ev) for ev in snapshots]
-    assert len(calls) == 4  # two roots, two evidence patterns
+    # two roots, two evidence patterns: each is sliced, checked and evaluated once
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 4)
     assert [r.hypotheses for r in reports] == _uncached_hypotheses(tworoot_kb, snapshots)
     assert session.alive_roots == (1, 2)
+
+
+def test_warm_memo_still_drops_a_root_that_misses_an_abnormal_observation(tworoot_kb):
+    """X7 lies outside B1's graph, so B1 sees the same observations on both
+    ticks; but B1 cannot explain X7 and must leave."""
+    snapshots = [snapshot(1, T2), snapshot(2, {**T2, 7: 1})]
+    session = DiagnosisSession(tworoot_kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots]
+    assert session.alive_roots == (2,)
+    assert {h.root for h in reports[1].hypotheses} == {2}
+    assert [r.hypotheses for r in reports] == _uncached_hypotheses(tworoot_kb, snapshots)
+
+
+def test_memo_hits_keep_each_slice_at_its_own_tick(tworoot_kb):
+    ticks = list(range(3, 15))
+    session = DiagnosisSession(tworoot_kb, history=True)
+    for t in ticks:
+        session.diagnose_tick(snapshot(t, (T1, T2)[t % 2]))
+    assert [s.tick for s in session.cubic(1).slices] == ticks
+    assert [s.tick for s in session.cubic(2).slices] == ticks
+
+
+def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot_kb):
+    session = DiagnosisSession(tworoot_kb)
+    for t in range(4):
+        session.diagnose_tick(snapshot(t, (T1, T2)[t % 2]))
+    with pytest.raises(NoAbnormalEvidenceError):
+        session.diagnose_tick(snapshot(4, {3: 0, 5: 0, 6: 0}))
 
 
 @pytest.mark.parametrize("with_default_cause", [False, True])
 def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, monkeypatch):
     """200 random KBs, each fed 12 ticks drawn from three evidence patterns."""
-    calls = _counting_evaluate(monkeypatch)
+    calls = _counting(monkeypatch)
     memoised = uncached = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -606,7 +637,7 @@ def test_memo_misses_when_an_out_of_scope_condition_flips(monkeypatch):
         extra_x=(2, 3),
     )
     snapshots = [snapshot(t, ({2: 1}, {2: 1, 3: 0})[t % 2]) for t in range(4)]
-    calls = _counting_evaluate(monkeypatch)
+    calls = _counting(monkeypatch)
     session = DiagnosisSession(kb)
     reports = [session.diagnose_tick(ev) for ev in snapshots]
     assert calls == [1, 1]
@@ -621,7 +652,7 @@ def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
     patterns = [
         {x: (n >> i) & 1 for i, x in enumerate(observed)} for n in range(1, cap + 2)
     ]
-    calls = _counting_evaluate(monkeypatch)
+    calls = _counting(monkeypatch)
     session = DiagnosisSession(kb)
 
     def feed(*indices):

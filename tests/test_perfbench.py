@@ -2,8 +2,8 @@
 line that carries every metric ``BENCHMARK.json`` declares. Every workload
 runs both untraced and traced, and each traced metric but the tracer's
 overhead must be above zero. The runs are marked ``slow``: ``pytest -m "not
-slow"`` leaves them out; the check that every name the tracer patches still
-exists is not."""
+slow"`` leaves them out; the checks that every name the tracer patches still
+exists and is called are not."""
 
 import importlib
 import importlib.util
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 RUNS = {
@@ -61,13 +62,18 @@ def test_benchmark_run_ends_in_a_correct_result_line(run):
         assert not zero, zero
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    """A name the tracer patches that the program no longer has reads as
-    ``absent`` in the traced runs; this catches it without running them."""
+def _load_trace(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_trace", ROOT / "perfbench" / "trace.py")
     trace = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, trace)  # its dataclasses look it up
     spec.loader.exec_module(trace)
+    return trace
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """A name the tracer patches that the program no longer has reads as
+    ``absent`` in the traced runs; this catches it without running them."""
+    trace = _load_trace(monkeypatch)
     missing = []
     for target in trace.TARGETS:
         owner = importlib.import_module(target.module)
@@ -76,3 +82,26 @@ def test_every_traced_name_resolves(monkeypatch):
         if not callable(owner):
             missing.append(f"{target.module}.{target.attr}")
     assert trace.TARGETS and not missing, missing
+
+
+def test_every_traced_name_is_called(monkeypatch, capsys):
+    """A patched name the program still has but no longer calls reads as 0
+    in the traced runs. An in-process replay of a chattering feed, whose
+    repeats take the memo's hit path, must call every one."""
+    from ducg.cli import main
+
+    trace = _load_trace(monkeypatch)
+    tracer = trace.Tracer()
+    tracer.install(trace.TARGETS)
+    try:
+        code = main([
+            "replay",
+            "--kb", str(DATA / "tworoot_kb.json"),
+            "--signals", str(DATA / "tworoot_chatter_signals.csv"),
+            "--no-timing",
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 13
+    silent = [t.span for t in trace.TARGETS if t.span not in tracer.stats]
+    assert not tracer.absent and not tracer.broken and not silent, (tracer.absent, tracer.broken, silent)
