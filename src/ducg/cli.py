@@ -240,7 +240,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         g = cubic.latest
     elif args.root in session.alive_roots:  # nothing triggered: no evidence yet
         sub = next(s for s in decompose(kb) if s.root == args.root)
-        g = SliceGraph(args.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
+        g = SliceGraph(args.root, 0, frozenset(), (), {}, sub.variable_ids, ())
     else:
         print(
             f"error: root {args.root} is not in the surviving hypothesis space",

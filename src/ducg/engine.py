@@ -21,13 +21,12 @@ state; the states are then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session puts a per-root memo (``EvaluationMemo``) in front of the whole
-per-root tick. It is keyed on the snapshot's assignments. A snapshot that
-matches one of the root's ``_MEMO_PER_ROOT`` most recently used keys reuses
-that slice (redrawn at the new tick), its ζ and its joints, with no
-``simplify``, ``check_valid`` or evaluation; so a chattering channel that
-keeps bringing the same evidence back is sliced and evaluated once per
-pattern.
+A session keeps one record per alive root, with a memo keyed on the
+snapshot's assignments. A snapshot that matches one of the root's
+``_MEMO_PER_ROOT`` most recently used keys reuses that slice (redrawn at the
+new tick), its ζ and its joints, with no ``simplify``, ``check_valid`` or
+``evaluate``; so a chattering channel is sliced and evaluated once per
+evidence pattern. Ranking reads only each root's ζ and joints.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -50,7 +49,7 @@ from math import prod
 from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .algebra import (
     ArcLiteral,
@@ -94,8 +93,11 @@ class SliceGraph:
     arcs: tuple[CausalArc, ...]
     states: Mapping[int, int]  # evidence restricted to retained variables
     scope: frozenset[int]  # full variable set of the root's subgraph
-    valid: bool
     unexplained: tuple[int, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.unexplained
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,6 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
         variables.add(arc.parent)
         variables.add(arc.child)
 
-    unexplained = _unexplained(ev, sub.variables, from_root)
     return SliceGraph(
         root=sub.root,
         tick=ev.tick,
@@ -202,8 +203,7 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
         arcs=retained,
         states=dict(sorted(evidenced.items())),
         scope=sub.variable_ids,
-        valid=not unexplained,
-        unexplained=unexplained,
+        unexplained=_unexplained(ev, sub.variables, from_root),
     )
 
 
@@ -543,7 +543,7 @@ class HypothesisResult:
     posterior: float
 
 
-def _evaluate(g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
+def evaluate(g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
     """ζ of slice ``g`` and the joint of each abnormal root state (no joints
     when ζ is 0)."""
     root = g.root
@@ -560,88 +560,26 @@ def _evaluate(g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]
     }
 
 
-# Evaluations kept per root, a bound however long a session runs. The value is
-# chosen, not tuned: long-stream cycles through 2 evidence patterns per root,
-# and any cap of 2 or more gives it the same hit share.
-_MEMO_PER_ROOT = 16
-
-
-class EvaluationMemo:
-    """Each root's most recently used slices with their ``_evaluate`` results,
-    at most ``_MEMO_PER_ROOT`` of them, the least recently used evicted first.
-
-    The key is the snapshot's assignments as a frozenset of ``(var, state)``
-    pairs, built once per tick; its hash is computed once and kept, so every
-    root's lookup reuses it. Equal keys are the same evidence, so a stored
-    slice, which was valid, is the slice ``simplify`` would build again, and
-    the session looks the key up before ``simplify``. ``evaluate`` serves the
-    entry the session just looked up or stored for the slice's root.
-    """
-
-    def __init__(self) -> None:
-        self._by_root: dict[int, OrderedDict] = {}  # root -> key -> [slice, (ζ, joints) or None]
-        self._serving: dict[int, tuple[SliceGraph, list]] = {}  # root -> (slice, its entry)
-
-    def lookup(self, root: int, key: frozenset, tick: int) -> Optional[SliceGraph]:
-        """The slice stored for ``root`` under ``key``, redrawn at ``tick``; None on a miss."""
-        entries = self._by_root.get(root, {})
-        entry = entries.get(key)
-        if entry is None:
-            return None
-        entries.move_to_end(key)
-        g = replace(entry[0], tick=tick)
-        self._serving[root] = (g, entry)
-        return g
-
-    def store(self, key: frozenset, g: SliceGraph) -> None:
-        """Keep valid slice ``g`` under ``key``; it is evaluated when first served."""
-        entries = self._by_root.setdefault(g.root, OrderedDict())
-        entry = entries[key] = [g, None]
-        if len(entries) > _MEMO_PER_ROOT:
-            entries.popitem(last=False)
-        self._serving[g.root] = (g, entry)
-
-    def evaluate(self, g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
-        served, entry = self._serving[g.root]
-        assert served is g, "the memo serves only the slice it just looked up or stored"
-        if entry[1] is None:
-            entry[1] = _evaluate(g, kb)
-        return entry[1]
-
-    def keep_only(self, roots: Collection[int]) -> None:
-        """Forget every root outside ``roots``."""
-        self._by_root = {r: e for r, e in self._by_root.items() if r in roots}
-        self._serving = {r: e for r, e in self._serving.items() if r in roots}
-
-
 def rank_hypotheses(
-    slices: Sequence[SliceGraph],
-    kb: KnowledgeBase,
-    memo: Optional[EvaluationMemo] = None,
+    evaluated: Iterable[tuple[int, float, Mapping[int, float]]],
 ) -> list[HypothesisResult]:
-    """Score every abnormal root state of every surviving root's slice.
+    """Rank every abnormal root state from ``(root, ζ, joints)`` triples.
 
-    posterior = xi · joint / zeta, with xi = zeta / Σ zeta over slices of
+    posterior = xi · joint / zeta, with xi = zeta / Σ zeta over roots of
     positive evidence probability. Hypotheses with zero joint are dropped,
-    so no slice, or none of positive ζ, gives an empty list. ζ and the joints
-    come through ``memo`` when one is given.
+    so no root, or none of positive ζ, gives an empty list.
     """
-    evaluate = _evaluate if memo is None else memo.evaluate
-    evaluated: list[tuple[SliceGraph, float, dict[int, float]]] = []
-    for g in slices:
-        zeta, joints = evaluate(g, kb)
-        if zeta > 0.0:
-            evaluated.append((g, zeta, joints))
-    total = sum(z for _, z, _ in evaluated)
+    explaining = [(root, zeta, joints) for root, zeta, joints in evaluated if zeta > 0.0]
+    total = sum(zeta for _, zeta, _ in explaining)
 
     results: list[HypothesisResult] = []
-    for g, zeta, joints in evaluated:
+    for root, zeta, joints in explaining:
         xi = zeta / total
         for state, joint in joints.items():
             if joint > 0.0:
                 results.append(
                     HypothesisResult(
-                        root=g.root,
+                        root=root,
                         state=state,
                         joint=joint,
                         zeta=zeta,
@@ -666,6 +604,26 @@ class DiagnosisReport:
     timing_ms: float
 
 
+# Evaluations kept per root, a bound however long a session runs. The value is
+# chosen, not tuned: long-stream cycles through 2 evidence patterns per root,
+# and any cap of 2 or more gives it the same hit share.
+_MEMO_PER_ROOT = 16
+
+
+@dataclass
+class _Root:
+    """One alive root: its subgraph, its cubic graph (None until the root
+    explains a tick) and its memo. The memo maps a snapshot's assignments, a
+    frozenset of ``(var, state)`` pairs, to the valid slice ``simplify``
+    built for it and that slice's ``evaluate`` result, least recently used
+    first. Equal keys are the same evidence, so a stored slice is the one
+    ``simplify`` would build again."""
+
+    sub: SubDUCG
+    cubic: Optional[CubicGraph] = None
+    memo: OrderedDict = field(default_factory=OrderedDict)
+
+
 class DiagnosisSession:
     """Stateful multi-tick diagnosis over one knowledge base.
 
@@ -683,41 +641,42 @@ class DiagnosisSession:
             raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
         # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
-        self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
-        self._cubics: dict[int, CubicGraph] = {}
+        self._roots: dict[int, _Root] = {s.root: _Root(s) for s in decompose(kb)}
         self._history = history
-        self._memo = EvaluationMemo()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
-        return tuple(self._subs)
+        return tuple(self._roots)
 
     def cubic(self, root: int) -> Optional[CubicGraph]:
-        return self._cubics.get(root)
+        record = self._roots.get(root)
+        return record.cubic if record is not None else None
 
     def diagnose_tick(self, ev: EvidenceSnapshot) -> DiagnosisReport:
         """Explain one triggering snapshot; shrink the hypothesis space."""
         started = time.perf_counter()
-        # A stored key holds an abnormal state, so evidence with none always
-        # misses and ``simplify`` raises on it.
+        # Built and hashed once for every root. A stored key holds an abnormal
+        # state, so evidence with none always misses and ``simplify`` raises.
         key = frozenset(ev.assignments.items())
-        survivors: dict[int, CubicGraph] = {}
-        for root, sub in self._subs.items():
-            s = self._memo.lookup(root, key, ev.tick)
-            if s is None:
-                s = simplify(sub, ev)
+        evaluated = []
+        for root, record in self._roots.items():
+            entry = record.memo.get(key)
+            if entry is None:
+                s = simplify(record.sub, ev)
                 if not (s.valid and check_valid(s, ev)):
                     continue
-                self._memo.store(key, s)
-            survivors[root] = merge_cubic(self._cubics.get(root) if self._history else None, s)
+                entry = record.memo[key] = (s, *evaluate(s, self.kb))
+                if len(record.memo) > _MEMO_PER_ROOT:
+                    record.memo.popitem(last=False)
+            else:
+                record.memo.move_to_end(key)
+                s = replace(entry[0], tick=ev.tick)
+            record.cubic = merge_cubic(record.cubic if self._history else None, s)
+            evaluated.append((root, *entry[1:]))
 
-        hypotheses = rank_hypotheses(
-            [c.latest for c in survivors.values()], self.kb, memo=self._memo
-        )
+        hypotheses = rank_hypotheses(evaluated)
         ranked_roots = {h.root for h in hypotheses}
-        self._subs = {r: sub for r, sub in self._subs.items() if r in ranked_roots}
-        self._cubics = {r: survivors[r] for r in self._subs}
-        self._memo.keep_only(ranked_roots)
+        self._roots = {r: record for r, record in self._roots.items() if r in ranked_roots}
 
         if len(ranked_roots) == 1:
             status = "diagnosed"

@@ -334,6 +334,14 @@ def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
         raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}") from None
 
 
+def _optional_list(raw: Mapping[str, Any], key: str, prefix: str = "") -> list:
+    """``raw[key]``, which must be a list; absent or null reads as empty."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, list):
+        raise KBSyntaxError(f"{prefix}'{key}' must be a list")
+    return value or []
+
+
 def parse_kb(text: str) -> KnowledgeBase:
     """Parse a knowledge-base JSON document.
 
@@ -368,12 +376,12 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     arcs = [
         _parse_arc(raw, variables, where=f"arcs[{i}]")
-        for i, raw in enumerate(doc.get("arcs", []) or [])
+        for i, raw in enumerate(_optional_list(doc, "arcs"))
     ]
-
-    subducgs = []
-    for i, raw in enumerate(doc.get("subducgs", []) or []):
-        subducgs.append(_parse_subducg(raw, variables, where=f"subducgs[{i}]"))
+    subducgs = [
+        _parse_subducg(raw, variables, where=f"subducgs[{i}]")
+        for i, raw in enumerate(_optional_list(doc, "subducgs"))
+    ]
 
     return KnowledgeBase(variables, arcs, subducgs)
 
@@ -520,7 +528,7 @@ def _parse_subducg(
         raise UnknownReferenceError(f"{where}: root {root} not in variable set", root)
     members = {i: variables[i] for i in sorted(set(ids))}
     arcs = []
-    for i, raw_arc in enumerate(raw.get("arcs", []) or []):
+    for i, raw_arc in enumerate(_optional_list(raw, "arcs", f"{where}: ")):
         arc = _parse_arc(raw_arc, variables, where=f"{where}.arcs[{i}]")
         if arc.child not in members or arc.parent not in members:
             raise UnknownReferenceError(

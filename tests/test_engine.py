@@ -31,6 +31,7 @@ from ducg import (
     check_valid,
     decompose,
     eval_expression,
+    evaluate,
     conjoin,
     expand,
     factored_joints,
@@ -293,7 +294,7 @@ def test_expand_is_deterministic(tworoot_kb):
 def rank_for(kb, ev_states, tick=14):
     ev = snapshot(tick, ev_states)
     slices = (simplify(sub, ev) for sub in decompose(kb))
-    return rank_hypotheses([s for s in slices if s.valid], kb)
+    return rank_hypotheses([(s.root, *evaluate(s, kb)) for s in slices if s.valid])
 
 
 def test_rank_golden_first_tick(tworoot_kb):
@@ -327,16 +328,47 @@ def test_zero_joint_hypothesis_never_reaches_a_report():
     kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}})], extra_x=(5,), root_states=3)
     ev = snapshot(1, {5: 1})
     (s,) = [simplify(sub, ev) for sub in decompose(kb)]
-    zeta, joints = ducg.engine._evaluate(s, kb)
+    zeta, joints = evaluate(s, kb)
     assert zeta > 0.0 and joints == {1: zeta, 2: 0.0}
-    assert [(h.root, h.state) for h in rank_hypotheses([s], kb)] == [(1, 1)]
+    assert [(h.root, h.state) for h in rank_hypotheses([(1, zeta, joints)])] == [(1, 1)]
     report = DiagnosisSession(kb).diagnose_tick(ev)
     assert [(h.root, h.state) for h in report.hypotheses] == [(1, 1)]
 
 
 def test_rank_of_no_graphs_is_empty():
-    kb = _inline_kb(arcs=[CausalArc(5, 1, 1.0, {1: {1: 0.5}})], extra_x=(5,))
-    assert rank_hypotheses([], kb) == []
+    assert rank_hypotheses([]) == []
+
+
+def test_rank_leaves_a_zero_evidence_root_out_of_xi():
+    results = rank_hypotheses([(1, 0.02, {1: 0.01}), (2, 0.0, {}), (3, 0.06, {1: 0.03})])
+    total = 0.02 + 0.06
+    assert [(h.root, h.xi) for h in results] == [(3, 0.06 / total), (1, 0.02 / total)]
+    assert sum(h.xi for h in results) == pytest.approx(1.0)
+
+
+def test_rank_drops_zero_joints():
+    results = rank_hypotheses([(1, 0.05, {1: 0.05, 2: 0.0})])
+    assert [(h.root, h.state, h.posterior) for h in results] == [(1, 1, 1.0)]
+
+
+def test_rank_breaks_posterior_ties_by_root_then_state():
+    results = rank_hypotheses(
+        [(2, 0.04, {2: 0.01, 1: 0.01, 3: 0.02}), (1, 0.04, {2: 0.02, 1: 0.0})]
+    )
+    assert [(h.root, h.state) for h in results] == [(1, 2), (2, 3), (2, 1), (2, 2)]
+    assert results[0].posterior == results[1].posterior == 0.25
+
+
+def test_rank_posteriors_sum_to_one():
+    # with abnormal evidence the all-normal root state has no mass, so Σ joints = ζ
+    results = rank_hypotheses(
+        [(1, 0.3, {1: 0.1, 2: 0.2}), (4, 0.7, {1: 0.35, 2: 0.35}), (9, 0.15, {1: 0.04, 3: 0.11})]
+    )
+    assert [(h.root, h.state) for h in results] == [(4, 1), (4, 2), (1, 2), (9, 3), (1, 1), (9, 1)]
+    assert [h.posterior for h in results] == [
+        pytest.approx(joint / 1.15) for joint in (0.35, 0.35, 0.2, 0.11, 0.1, 0.04)
+    ]
+    assert sum(h.posterior for h in results) == pytest.approx(1.0)
 
 
 def _counting_expand(monkeypatch):
@@ -374,7 +406,7 @@ def test_rank_keeps_cyclic_slices_on_expand(monkeypatch):
     zeta = eval_expression(expr, kb)
 
     calls = _counting_expand(monkeypatch)
-    results = rank_hypotheses([s], kb)
+    results = rank_hypotheses([(1, *evaluate(s, kb))])
     assert calls == [1]
     assert [(h.state, h.zeta, h.joint) for h in results] == sorted(
         (
@@ -389,7 +421,7 @@ def test_rank_keeps_small_slices_on_expand(tworoot_kb, monkeypatch):
     slices = (simplify(sub, snapshot(17, T3)) for sub in decompose(tworoot_kb))
     valid = [s for s in slices if s.valid]
     calls = _counting_expand(monkeypatch)
-    rank_hypotheses(valid, tworoot_kb)
+    rank_hypotheses([(s.root, *evaluate(s, tworoot_kb)) for s in valid])
     assert calls == [s.root for s in valid] and calls
 
 
@@ -399,7 +431,7 @@ def test_rank_evaluates_large_acyclic_slices_by_elimination(monkeypatch):
     expr = expand(s, kb)
 
     calls = _counting_expand(monkeypatch)
-    results = rank_hypotheses([s], kb)
+    results = rank_hypotheses([(1, *evaluate(s, kb))])
     assert calls == []
     assert {h.state for h in results} == {1, 2}
     for h in results:
@@ -547,13 +579,16 @@ def _uncached_hypotheses(kb, snapshots):
     out = []
     for ev in snapshots:
         slices = (simplify(subs[root], ev) for root in alive)
-        hypotheses = tuple(rank_hypotheses([s for s in slices if s.valid], kb))
+        # through the module, so that ``_counting`` sees these calls too
+        hypotheses = tuple(
+            rank_hypotheses([(s.root, *ducg.engine.evaluate(s, kb)) for s in slices if s.valid])
+        )
         alive = sorted({h.root for h in hypotheses})
         out.append(hypotheses)
     return out
 
 
-def _counting(monkeypatch, name="_evaluate"):
+def _counting(monkeypatch, name="evaluate"):
     """Record the root of every call the session makes to ``ducg.engine.<name>``."""
     calls = []
     real = getattr(ducg.engine, name)
@@ -568,7 +603,7 @@ def _counting(monkeypatch, name="_evaluate"):
 
 def test_memoised_session_equals_uncached_on_alternating_stream(tworoot_kb, monkeypatch):
     snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(2000)]
-    counted = {name: _counting(monkeypatch, name) for name in ("simplify", "check_valid", "_evaluate")}
+    counted = {name: _counting(monkeypatch, name) for name in ("simplify", "check_valid", "evaluate")}
     session = DiagnosisSession(tworoot_kb)
     reports = [session.diagnose_tick(ev) for ev in snapshots]
     # two roots, two evidence patterns: each is sliced, checked and evaluated once
@@ -668,16 +703,17 @@ def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
     assert len(calls) == cap + 1
     feed(1)
     assert len(calls) == cap + 2
-    assert len(session._memo._by_root[1]) == cap
+    assert len(session._roots[1].memo) == cap
 
 
 def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb):
     session = DiagnosisSession(tworoot_kb)
     session.diagnose_tick(snapshot(1, T1))
-    assert set(session._memo._by_root) == {1, 2}
+    assert set(session._roots) == {1, 2}
+    assert all(len(record.memo) == 1 for record in session._roots.values())
     session.diagnose_tick(snapshot(2, T3))
     assert session.alive_roots == (2,)
-    assert set(session._memo._by_root) == {2}
+    assert set(session._roots) == {2}
 
 
 def test_long_session_memory_is_bounded(tworoot_kb):
@@ -740,7 +776,7 @@ def test_predict_ignores_self_arcs(tworoot_kb):
 
 
 def _quiet_slice(sub):
-    return SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
+    return SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, ())
 
 
 def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):

@@ -89,6 +89,48 @@ def test_parse_rejects_unsupported_version():
         parse_kb('{"version": 2, "variables": []}')
 
 
+# A list field given another shape; the iteration over it used to raise a bare
+# TypeError (an int) or report "arc must be an object" once per key (a dict).
+_NOT_A_LIST = {
+    "arcs": ("tworoot_kb.json", "'arcs' must be a list", lambda d: d.update(arcs=5)),
+    "subducgs": ("tworoot_kb.json", "'subducgs' must be a list", lambda d: d.update(subducgs={"1": []})),
+    "subducg arcs": (
+        "tworoot_modular_kb.json",
+        "subducgs[0]: 'arcs' must be a list",
+        lambda d: d["subducgs"][0].update(arcs=3),
+    ),
+}
+
+
+def _data_doc(name):
+    return json.loads((__import__("pathlib").Path(__file__).parent / "data" / name).read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_LIST))
+def test_parse_rejects_a_list_field_that_is_not_a_list(case, tmp_path):
+    name, message, corrupt = _NOT_A_LIST[case]
+    doc = _data_doc(name)
+    corrupt(doc)
+    with pytest.raises(KBSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_kb(json.dumps(doc))
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+
+
+def test_parse_reads_null_list_fields_as_empty():
+    doc = _data_doc("tworoot_modular_kb.json")
+    doc["arcs"] = None
+    doc["subducgs"][0]["arcs"] = None
+    kb = parse_kb(json.dumps(doc))
+    assert kb.subducgs[0].arcs == ()
+    doc["subducgs"] = None
+    assert parse_kb(json.dumps(doc)).subducgs == ()
+
+
 # Number literals JSON cannot hand to int(): 1e400 reads as inf, so int()
 # raised a bare OverflowError (or ValueError for a string key) before.
 _BAD_NUMBERS = {

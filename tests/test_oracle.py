@@ -18,6 +18,7 @@ from ducg import (
     conjoin,
     decompose,
     eval_expression,
+    evaluate,
     expand,
     factored_joints,
     predict,
@@ -110,7 +111,7 @@ def test_predict_matches_oracle_forward_marginals(with_default_cause):
         for sub in decompose(kb):
             arcs = [a for a in sub.arcs if a.child != a.parent]
             # no evidence yet, so predict scores every observable
-            quiet = SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, True, ())
+            quiet = SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, ())
             root = kb.variables[sub.root]
             for s in root.abnormal_state_ids:
                 rows = predict(quiet, kb, RootLiteral(sub.root, s))
@@ -157,7 +158,7 @@ def test_parallel_arcs_match_oracle(second_intensity):
     assert expected == pytest.approx(0.1 * (0.6 + second_intensity) / 2, rel=1e-12)
     assert eval_expression(expand(s, kb), kb) == pytest.approx(expected, rel=1e-12)
     assert sum(factored_joints(s, kb).values()) == pytest.approx(expected, rel=1e-12)
-    (best,) = rank_hypotheses([s], kb)
+    (best,) = rank_hypotheses([(s.root, *evaluate(s, kb))])
     assert best.zeta == pytest.approx(expected, rel=1e-12)
 
 
@@ -189,7 +190,7 @@ def test_posteriors_normalize(seed):
             graphs.append(s)
     if not graphs:
         pytest.skip("evidence outside every root's reach for this seed")
-    results = rank_hypotheses(graphs, kb)
+    results = rank_hypotheses([(g.root, *evaluate(g, kb)) for g in graphs])
     if not results:
         pytest.skip("evidence probability zero on every graph for this seed")
     assert sum(h.posterior for h in results) == pytest.approx(1.0, abs=1e-9)
