@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
-from .engine import DiagnosisReport, DiagnosisSession, SliceGraph, predict
+from .engine import DiagnosisReport, DiagnosisSession, predict
 from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import ingest_tick, iter_reading_groups
@@ -235,20 +235,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             with_timing=False,
             recovery_retrigger=not args.no_recovery_retrigger,
         )
-    cubic = session.cubic(args.root)
-    if cubic is not None:
-        g = cubic.latest
-    elif args.root in session.alive_roots:  # nothing triggered: no evidence yet
-        sub = next(s for s in decompose(kb) if s.root == args.root)
-        g = SliceGraph(args.root, 0, frozenset(), (), {}, sub.variable_ids, ())
-    else:
+    if args.root not in session.alive_roots:
         print(
             f"error: root {args.root} is not in the surviving hypothesis space",
             file=sys.stderr,
         )
         return 2
-
-    rows = predict(g, kb, RootLiteral(args.root, args.state))
+    cubic = session.cubic(args.root)
+    states = cubic.latest.states if cubic is not None else {}  # none before a trigger
+    sub = next(s for s in decompose(kb) if s.root == args.root)
+    rows = predict(sub, states, kb, RootLiteral(args.root, args.state))
     payload = {
         "root": args.root,
         "state": args.state,

@@ -24,10 +24,11 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
         "  rankdir=LR;",
         '  node [fontname="Helvetica"];',
     ]
-    slices = cubic.slices
-    for ordinal, s in enumerate(slices, start=1):
+    layers = cubic.layers
+    for ordinal, layer in enumerate(layers, start=1):
+        s = layer.latest
         lines.append(f"  subgraph cluster_t{ordinal} {{")
-        lines.append(f'    label="t_{ordinal} (tick {s.tick})";')
+        lines.append(f'    label="t_{ordinal} (tick {layer.tick})";')
         for var_id in sorted(s.variables):
             var = kb.variables[var_id]
             shape = _SHAPES.get(var.kind, "ellipse")
@@ -46,8 +47,8 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
                 f'"{_node_name(ordinal, arc.child)}";'
             )
         lines.append("  }")
-    for ordinal, (a, b) in enumerate(zip(slices, slices[1:]), start=1):
-        for var_id in sorted(a.variables & b.variables):
+    for ordinal, (a, b) in enumerate(zip(layers, layers[1:]), start=1):
+        for var_id in sorted(a.latest.variables & b.latest.variables):
             lines.append(
                 f'  "{_node_name(ordinal, var_id)}" -> "{_node_name(ordinal + 1, var_id)}" '
                 "[style=dashed, constraint=false];"

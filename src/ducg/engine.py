@@ -1,14 +1,14 @@
 """Per-tick causal inference over time-layered fault graphs.
 
 For every fault root the engine keeps a *cubic* graph: a persistent chain of
-per-tick simplified slices, appended in O(1). A session keeps the earlier
-slices only when asked to (DOT export draws them); otherwise each root holds
-just its latest slice. A slice holds the snapshot's evidence on the root's
-graph (``states``), so validity, the evaluators, ranking and ``predict`` read
-one ``SliceGraph``, never the cubic graph. Each triggering snapshot is
-explained on the latest slice of every surviving root by one of two
-evaluators, which give its evidence probability ζ and the joint of each fault
-state; the states are then ranked:
+time layers, each a tick and the root's simplified slice for it, appended in
+O(1). A session keeps the earlier layers only when asked to (DOT export draws
+them). A slice holds only what its evidence selects (no tick), so it is a
+function of the subgraph and the evidence; validity, the evaluators and
+ranking read one ``SliceGraph``, never the cubic graph. Each triggering
+snapshot is explained on the latest slice of every surviving root by one of
+two evaluators, which give its evidence probability ζ and the joint of each
+fault state; the states are then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
@@ -23,10 +23,11 @@ state; the states are then ranked:
 
 A session keeps one record per alive root, with a memo keyed on the
 snapshot's assignments. A snapshot that matches one of the root's
-``_MEMO_PER_ROOT`` most recently used keys reuses that slice (redrawn at the
-new tick), its ζ and its joints, with no ``simplify``, ``check_valid`` or
+``_MEMO_PER_ROOT`` most recently used keys reuses that slice object as it
+is, its ζ and its joints, with no ``simplify``, ``check_valid`` or
 ``evaluate``; so a chattering channel is sliced and evaluated once per
-evidence pattern. Ranking reads only each root's ζ and joints.
+evidence pattern. Ranking reads only each root's ζ and joints, and a tick
+changes no record until it is ranked.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from math import prod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional
@@ -85,14 +86,12 @@ _EXPANSION_STEP_LIMIT = 1_000_000  # defensive; unreachable for sane KBs
 
 @dataclass(frozen=True)
 class SliceGraph:
-    """One root's simplified causal graph for a single tick."""
+    """One root's simplified causal graph for one snapshot's evidence."""
 
     root: int
-    tick: int
     variables: frozenset[int]
     arcs: tuple[CausalArc, ...]
     states: Mapping[int, int]  # evidence restricted to retained variables
-    scope: frozenset[int]  # full variable set of the root's subgraph
     unexplained: tuple[int, ...]
 
     @property
@@ -102,21 +101,28 @@ class SliceGraph:
 
 @dataclass(frozen=True, eq=False)
 class CubicGraph:
-    """One root's time-layered graph: its latest slice and the graph it extends,
-    so appending copies nothing. ``==`` is identity and never walks the chain."""
+    """One root's time-layered graph: its latest layer (a tick and its slice)
+    and the graph it extends, so appending copies nothing. ``==`` is
+    identity and never walks the chain."""
 
     root: int
+    tick: int
     latest: SliceGraph
     previous: Optional[CubicGraph] = field(default=None, repr=False)
 
     @property
-    def slices(self) -> tuple[SliceGraph, ...]:
-        """Every slice, oldest first."""
+    def layers(self) -> tuple[CubicGraph, ...]:
+        """Every layer, oldest first."""
         node, stack = self, []
         while node is not None:
-            stack.append(node.latest)
+            stack.append(node)
             node = node.previous
         return tuple(reversed(stack))
+
+    @property
+    def slices(self) -> tuple[SliceGraph, ...]:
+        """Every layer's slice, oldest first."""
+        return tuple(layer.latest for layer in self.layers)
 
 
 def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
@@ -161,12 +167,11 @@ def _upstream_of(targets: Iterable[int], arcs: Iterable[CausalArc]) -> set[int]:
     return seen
 
 
-def _unexplained(
-    ev: EvidenceSnapshot, scope: Collection[int], reached: Collection[int]
-) -> tuple[int, ...]:
-    """The slice-validity rule: the abnormal observations of ``ev`` outside
-    the root's subgraph ``scope`` or not ``reached`` from the root, in id order."""
-    return tuple(sorted(v for v in ev.abnormal_set if v not in scope or v not in reached))
+def _unexplained(ev: EvidenceSnapshot, reached: Collection[int]) -> tuple[int, ...]:
+    """The slice-validity rule: the abnormal observations of ``ev`` not
+    ``reached`` from the root, in id order. Every variable reached lies in
+    the root's subgraph, so one outside it is unexplained too."""
+    return tuple(sorted(v for v in ev.abnormal_set if v not in reached))
 
 
 def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
@@ -198,28 +203,27 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
 
     return SliceGraph(
         root=sub.root,
-        tick=ev.tick,
         variables=frozenset(variables),
         arcs=retained,
         states=dict(sorted(evidenced.items())),
-        scope=sub.variable_ids,
-        unexplained=_unexplained(ev, sub.variables, from_root),
+        unexplained=_unexplained(ev, from_root),
     )
 
 
-def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph) -> CubicGraph:
-    """Append a slice to a root's cubic graph in O(1); earlier slices are shared."""
+def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph, tick: int) -> CubicGraph:
+    """Append ``new_slice`` as the layer of ``tick`` to a root's cubic graph in
+    O(1); earlier layers are shared."""
     if prev is not None and prev.root != new_slice.root:
         raise RootMismatchError(
             f"cannot merge slice of root {new_slice.root} into cubic graph of "
             f"root {prev.root}"
         )
-    return CubicGraph(root=new_slice.root, latest=new_slice, previous=prev)
+    return CubicGraph(root=new_slice.root, tick=tick, latest=new_slice, previous=prev)
 
 
 def check_valid(g: SliceGraph, ev: EvidenceSnapshot) -> bool:
     """True iff slice ``g`` explains every abnormal observation of ``ev``."""
-    return not _unexplained(ev, g.scope, _downstream(g.root, g.arcs))
+    return not _unexplained(ev, _downstream(g.root, g.arcs))
 
 
 def _families(arcs: Iterable[CausalArc]) -> dict[int, list[tuple[CausalArc, float, int]]]:
@@ -658,25 +662,27 @@ class DiagnosisSession:
         # Built and hashed once for every root. A stored key holds an abnormal
         # state, so evidence with none always misses and ``simplify`` raises.
         key = frozenset(ev.assignments.items())
-        evaluated = []
+        evaluated = []  # (root, record, memo entry); no record changes until ranked
         for root, record in self._roots.items():
             entry = record.memo.get(key)
             if entry is None:
                 s = simplify(record.sub, ev)
                 if not (s.valid and check_valid(s, ev)):
                     continue
-                entry = record.memo[key] = (s, *evaluate(s, self.kb))
-                if len(record.memo) > _MEMO_PER_ROOT:
-                    record.memo.popitem(last=False)
-            else:
-                record.memo.move_to_end(key)
-                s = replace(entry[0], tick=ev.tick)
-            record.cubic = merge_cubic(record.cubic if self._history else None, s)
-            evaluated.append((root, *entry[1:]))
+                entry = (s, *evaluate(s, self.kb))
+            evaluated.append((root, record, entry))
 
-        hypotheses = rank_hypotheses(evaluated)
+        hypotheses = rank_hypotheses([(root, *entry[1:]) for root, _, entry in evaluated])
         ranked_roots = {h.root for h in hypotheses}
         self._roots = {r: record for r, record in self._roots.items() if r in ranked_roots}
+        for root, record, entry in evaluated:
+            if root in ranked_roots:
+                record.memo.pop(key, None)  # most recently used last
+                record.memo[key] = entry
+                if len(record.memo) > _MEMO_PER_ROOT:
+                    record.memo.popitem(last=False)
+                previous = record.cubic if self._history else None
+                record.cubic = merge_cubic(previous, entry[0], ev.tick)
 
         if len(ranked_roots) == 1:
             status = "diagnosed"
@@ -698,25 +704,24 @@ class DiagnosisSession:
 # --- prediction --------------------------------------------------------------------
 
 
-def predict(g: SliceGraph, kb: KnowledgeBase, hyp: RootLiteral) -> list[tuple[int, int, float]]:
-    """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph,
-    the KB's arcs within slice ``g``'s scope.
+def predict(
+    sub: SubDUCG, states: Mapping[int, int], kb: KnowledgeBase, hyp: RootLiteral
+) -> list[tuple[int, int, float]]:
+    """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph
+    ``sub``, given the evidence ``states`` observed on it (a slice's
+    ``states``, or nothing before the first trigger).
 
     Returns ``(var, state, probability)`` for every abnormal state of every
-    descendant that is not abnormal in ``g``'s evidence, sorted by descending
-    probability. Self-arcs are excluded, weight denominators use only the
-    subgraph's own arcs, and a default cause is always present, mirroring
-    the conventions of diagnosis.
+    variable of ``sub``, its B and D variables aside, that is not abnormal
+    in ``states``, sorted by descending probability. Self-arcs are excluded, weight
+    denominators use only the subgraph's own arcs, and a default cause is
+    always present, mirroring the conventions of diagnosis.
     """
-    if hyp.var != g.root:
+    if hyp.var != sub.root:
         raise RootMismatchError(
-            f"hypothesis {hyp.var} does not match graph root {g.root}"
+            f"hypothesis {hyp.var} does not match graph root {sub.root}"
         )
-    # the subgraph's arcs in ``decompose``'s order: ``kb.arcs`` is sorted by child
-    arcs = [
-        a for a in kb.arcs
-        if a.child != a.parent and a.child in g.scope and a.parent in g.scope
-    ]
+    arcs = [a for a in sub.arcs if a.child != a.parent]
     families = _families(arcs)
     # a chain's value reads ``seen`` only on the variable's ancestors, so that
     # part of it keys the memo; on a DAG it is empty and each call runs once
@@ -750,11 +755,11 @@ def predict(g: SliceGraph, kb: KnowledgeBase, hyp: RootLiteral) -> list[tuple[in
         return total
 
     rows: list[tuple[int, int, float]] = []
-    for var_id in sorted(g.scope):
+    for var_id in sorted(sub.variables):
         var = kb.variables[var_id]
         if var.kind in ROOT_KINDS:
             continue
-        if g.states.get(var_id, 0) != 0:
+        if states.get(var_id, 0) != 0:
             continue  # already abnormal: nothing to predict
         for state in var.abnormal_state_ids:
             p = chain_probability(var_id, state, frozenset({var_id}))

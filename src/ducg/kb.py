@@ -242,10 +242,6 @@ class SubDUCG:
     variables: Mapping[int, Variable]
     arcs: tuple[CausalArc, ...]
 
-    @property
-    def variable_ids(self) -> frozenset[int]:
-        return frozenset(self.variables)
-
 
 class KnowledgeBase:
     """Immutable-by-convention container for variables and causal arcs.
@@ -392,7 +388,7 @@ def _parse_variable(raw: Any, index: int) -> Variable:
         raise KBSyntaxError(f"{where}: variable must be an object")
     var_id = _number(raw.get("id"), where, "'id'")
     kind = raw.get("kind")
-    if kind not in KNOWN_KINDS:
+    if not isinstance(kind, str) or kind not in KNOWN_KINDS:
         raise KBSyntaxError(f"{where}: unknown kind {kind!r}")
     label = raw.get("label", "")
     if not isinstance(label, str):

@@ -24,8 +24,8 @@ def test_dot_one_cluster_per_slice(tworoot_kb, tworoot_signals):
     dot = export_dot(cubic, tworoot_kb)
     assert dot.startswith(f'digraph "cubic_B{root}" {{')
     assert dot.count("subgraph cluster_t") == 3
-    for ordinal, s in enumerate(cubic.slices, start=1):
-        assert f'label="t_{ordinal} (tick {s.tick})";' in dot
+    for ordinal, layer in enumerate(cubic.layers, start=1):
+        assert f'label="t_{ordinal} (tick {layer.tick})";' in dot
 
 
 def test_dot_marks_abnormal_nodes_and_linkage(tworoot_kb, tworoot_signals):
@@ -59,7 +59,7 @@ def test_dot_renders_single_slice(tworoot_kb):
 
     ev = EvidenceSnapshot.build(14, {3: 0, 5: 1, 6: 0})
     sub = next(s for s in decompose(tworoot_kb) if s.root == 1)
-    cubic = merge_cubic(None, simplify(sub, ev))
+    cubic = merge_cubic(None, simplify(sub, ev), ev.tick)
     dot = export_dot(cubic, tworoot_kb)
     assert dot.count("subgraph cluster_t") == 1
     assert "style=dashed" not in dot

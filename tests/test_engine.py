@@ -25,7 +25,6 @@ from ducg import (
     Product,
     RootLiteral,
     RootMismatchError,
-    SliceGraph,
     StateDef,
     Variable,
     check_valid,
@@ -177,7 +176,7 @@ def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
             assert check_valid(s, ev) == (not want)
             explained = _reach({s.root}, [(a.parent, a.child) for a in s.arcs])
             assert check_valid(s, other) == all(
-                v in s.scope and v in explained for v in other.abnormal_set
+                v in sub.variables and v in explained for v in other.abnormal_set
             ), f"seed {seed} root {sub.root}"
             to_evidence = _reach(set(s.states), [(a.child, a.parent) for a in s.arcs])
             assert all(
@@ -194,38 +193,46 @@ def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
 
 def test_merge_links_shared_variables(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    c = merge_cubic(None, simplify(subs[2], snapshot(14, T1)))
+    c = merge_cubic(None, simplify(subs[2], snapshot(14, T1)), 14)
     assert len(c.slices) == 1
 
-    c = merge_cubic(c, simplify(subs[2], snapshot(16, T2)))
-    assert [s.tick for s in c.slices] == [14, 16]
+    c = merge_cubic(c, simplify(subs[2], snapshot(16, T2)), 16)
+    assert [layer.tick for layer in c.layers] == [14, 16]
 
-    c = merge_cubic(c, simplify(subs[2], snapshot(17, T3)))
-    assert [s.tick for s in c.slices] == [14, 16, 17]
-    assert c.latest.tick == 17
+    c = merge_cubic(c, simplify(subs[2], snapshot(17, T3)), 17)
+    assert [layer.tick for layer in c.layers] == [14, 16, 17]
+    assert c.tick == 17
     assert c.latest.states == {4: 1, 5: 1, 6: 1, 7: 1}
 
 
 def test_merge_rejects_foreign_slice(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
-    c = merge_cubic(None, simplify(subs[1], snapshot(14, T1)))
+    c = merge_cubic(None, simplify(subs[1], snapshot(14, T1)), 14)
     with pytest.raises(RootMismatchError):
-        merge_cubic(c, simplify(subs[2], snapshot(16, T2)))
+        merge_cubic(c, simplify(subs[2], snapshot(16, T2)), 16)
 
 
 def test_merge_builds_a_persistent_chain(tworoot_kb):
     subs = subs_by_root(tworoot_kb)
     slices = [simplify(subs[2], snapshot(t, (T1, T3)[t % 2])) for t in range(3000)]
     c = None
-    for s in slices:
-        extended = merge_cubic(c, s)
+    for t, s in enumerate(slices):
+        extended = merge_cubic(c, s, t)
         assert extended.previous is c
         c = extended
 
     assert c.slices == tuple(slices)
+    assert [layer.tick for layer in c.layers] == list(range(3000))
     assert c.latest is slices[-1]
     assert "previous" not in repr(c)
-    assert c == c and c != merge_cubic(c.previous, c.latest)
+    assert c == c and c != merge_cubic(c.previous, c.latest, c.tick)
+
+
+def test_a_slice_is_the_same_at_every_tick(tworoot_kb):
+    """A slice holds only what its evidence selects: the same evidence at
+    another tick gives an equal slice."""
+    sub = subs_by_root(tworoot_kb)[2]
+    assert simplify(sub, snapshot(14, T3)) == simplify(sub, snapshot(99, T3))
 
 
 def test_check_valid_follows_latest_slice(tworoot_kb):
@@ -628,8 +635,49 @@ def test_memo_hits_keep_each_slice_at_its_own_tick(tworoot_kb):
     session = DiagnosisSession(tworoot_kb, history=True)
     for t in ticks:
         session.diagnose_tick(snapshot(t, (T1, T2)[t % 2]))
-    assert [s.tick for s in session.cubic(1).slices] == ticks
-    assert [s.tick for s in session.cubic(2).slices] == ticks
+    assert [layer.tick for layer in session.cubic(1).layers] == ticks
+    assert [layer.tick for layer in session.cubic(2).layers] == ticks
+
+
+def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):
+    session = DiagnosisSession(tworoot_kb)
+    session.diagnose_tick(snapshot(1, T1))
+    stored = {r: session.cubic(r).latest for r in session.alive_roots}
+    session.diagnose_tick(snapshot(2, T2))
+    for t in (3, 5):  # two hits on the first pattern
+        session.diagnose_tick(snapshot(t, T1))
+        for r in session.alive_roots:
+            assert session.cubic(r).latest is stored[r]
+            assert session.cubic(r).tick == t
+
+
+def test_a_tick_that_raises_mid_evaluation_commits_nothing(tworoot_kb, monkeypatch):
+    """Evaluating the second root of a missed tick raises: no root keeps a
+    new cubic graph or memo entry, and the hypothesis space stays as it was."""
+    session = DiagnosisSession(tworoot_kb, history=True)
+    session.diagnose_tick(snapshot(1, T1))
+    before = {
+        r: (session.cubic(r), list(record.memo.items()))
+        for r, record in session._roots.items()
+    }
+    assert set(before) == {1, 2}
+
+    real, calls = ducg.engine.evaluate, []
+
+    def second_call_raises(g, kb):
+        calls.append(g.root)
+        if len(calls) == 2:
+            raise RuntimeError("evaluation failed")
+        return real(g, kb)
+
+    monkeypatch.setattr(ducg.engine, "evaluate", second_call_raises)
+    with pytest.raises(RuntimeError):
+        session.diagnose_tick(snapshot(2, T2))
+    assert calls == [1, 2]
+    assert session.alive_roots == (1, 2)
+    for r, (cubic, memo) in before.items():
+        assert session.cubic(r) is cubic
+        assert list(session._roots[r].memo.items()) == memo
 
 
 def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot_kb):
@@ -741,11 +789,10 @@ def test_long_session_memory_is_bounded(tworoot_kb):
 # --- prediction ----------------------------------------------------------------------
 
 
-def test_predict_golden_first_tick(tworoot_kb, tworoot_signals):
-    _, session = run_scenario(tworoot_kb, tworoot_signals)
-    # rebuild the first-tick state for B1 directly
-    subs = subs_by_root(tworoot_kb)
-    rows = predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(1, 1))
+def test_predict_golden_first_tick(tworoot_kb):
+    # the first tick's state for B1, rebuilt directly
+    sub = subs_by_root(tworoot_kb)[1]
+    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(1, 1))
     assert rows == [
         (3, 1, pytest.approx(0.5)),
         (6, 1, pytest.approx(0.4)),
@@ -754,8 +801,8 @@ def test_predict_golden_first_tick(tworoot_kb, tworoot_signals):
 
 
 def test_predict_excludes_current_abnormal_and_roots(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
-    rows = predict(simplify(subs[2], snapshot(16, T2)), tworoot_kb, RootLiteral(2, 2))
+    sub = subs_by_root(tworoot_kb)[2]
+    rows = predict(sub, simplify(sub, snapshot(16, T2)).states, tworoot_kb, RootLiteral(2, 2))
     assert rows == [(7, 1, pytest.approx(0.8)), (4, 1, pytest.approx(0.35))]
     predicted = {v for v, _, _ in rows}
     assert 5 not in predicted and 6 not in predicted  # currently abnormal
@@ -763,20 +810,16 @@ def test_predict_excludes_current_abnormal_and_roots(tworoot_kb):
 
 
 def test_predict_rejects_foreign_hypothesis(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
+    sub = subs_by_root(tworoot_kb)[1]
     with pytest.raises(RootMismatchError):
-        predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(2, 1))
+        predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(2, 1))
 
 
 def test_predict_ignores_self_arcs(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
-    rows = predict(simplify(subs[1], snapshot(14, T1)), tworoot_kb, RootLiteral(1, 1))
+    sub = subs_by_root(tworoot_kb)[1]
+    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(1, 1))
     # X4's only mass comes through X5 (0.7·0.1); the X4←X4 loop adds nothing
     assert dict(((v, s), p) for v, s, p in rows)[(4, 1)] == pytest.approx(0.07)
-
-
-def _quiet_slice(sub):
-    return SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, ())
 
 
 def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):
@@ -793,7 +836,7 @@ def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):
         return completed(arc, state, j)
 
     monkeypatch.setattr(ducg.engine, "completed_intensity", counted)
-    rows = predict(_quiet_slice(sub), kb, RootLiteral(sub.root, 1))
+    rows = predict(sub, {}, kb, RootLiteral(sub.root, 1))
     cells = sum(
         len(kb.variables[a.child].abnormal_state_ids)
         * len(kb.variables[a.parent].abnormal_state_ids)
@@ -803,12 +846,13 @@ def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):
     assert rows and len(lookups) <= cells, (len(lookups), cells)
 
 
-def _predict_by_paths(g, kb, hyp, keys):
+def _predict_by_paths(sub, states, kb, hyp, keys):
     """``predict``'s rule without its memo: every simple path enumerated
-    anew. Records each call's (var, seen ∩ ancestors of var) in ``keys``."""
+    anew, over the KB's arcs within the subgraph. Records each call's
+    (var, seen ∩ ancestors of var) in ``keys``."""
     arcs = [
         a for a in kb.arcs
-        if a.child != a.parent and a.child in g.scope and a.parent in g.scope
+        if a.child != a.parent and a.child in sub.variables and a.parent in sub.variables
     ]
     families = ducg.engine._families(arcs)
     edges = [(a.child, a.parent) for a in arcs]
@@ -832,9 +876,9 @@ def _predict_by_paths(g, kb, hyp, keys):
         return total
 
     rows = []
-    for v in sorted(g.scope):
+    for v in sorted(sub.variables):
         var = kb.variables[v]
-        if var.kind in ROOT_KINDS or g.states.get(v, 0) != 0:
+        if var.kind in ROOT_KINDS or states.get(v, 0) != 0:
             continue
         for state in var.abnormal_state_ids:
             p = chain_probability(v, state, frozenset({v}))
@@ -855,11 +899,11 @@ def test_memoised_predict_equals_path_enumeration_on_cycles(with_default_cause):
         kb = random_cyclic_kb(rng, with_default_cause=with_default_cause)
         ev = random_evidence(rng, kb)
         for sub in decompose(kb):
-            for g in (_quiet_slice(sub), simplify(sub, ev)):
+            for states in ({}, simplify(sub, ev).states):
                 for s in kb.variables[sub.root].abnormal_state_ids:
                     hyp = RootLiteral(sub.root, s)
-                    want = _predict_by_paths(g, kb, hyp, keys)
-                    assert predict(g, kb, hyp) == want, f"seed {seed} root {sub.root}"
+                    want = _predict_by_paths(sub, states, kb, hyp, keys)
+                    assert predict(sub, states, kb, hyp) == want, f"seed {seed} root {sub.root}"
     assert sum(1 for _, part in keys if part) >= 1000
 
 

@@ -121,6 +121,22 @@ def test_parse_rejects_a_list_field_that_is_not_a_list(case, tmp_path):
     assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
 
+@pytest.mark.parametrize("kind", [[], {}, ["X"]], ids=["list", "object", "list of kind"])
+def test_parse_rejects_a_kind_that_is_not_a_string(kind, tmp_path):
+    """An unhashable kind used to reach the set of known kinds and raise
+    ``TypeError``, which ``ducg validate`` printed as a traceback."""
+    doc = {"version": 1, "variables": [{"id": 1, "kind": kind, "states": []}]}
+    message = f"variables[0]: unknown kind {kind!r}"
+    with pytest.raises(KBSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_kb(json.dumps(doc))
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_parse_reads_null_list_fields_as_empty():
     doc = _data_doc("tworoot_modular_kb.json")
     doc["arcs"] = None
@@ -394,8 +410,8 @@ def test_decompose_two_root_fixture(tworoot_kb):
     subs = decompose(tworoot_kb)
     by_root = {s.root: s for s in subs}
     assert set(by_root) == {1, 2}
-    assert by_root[1].variable_ids == {1, 3, 4, 5, 6}
-    assert by_root[2].variable_ids == {2, 4, 5, 6, 7}
+    assert set(by_root[1].variables) == {1, 3, 4, 5, 6}
+    assert set(by_root[2].variables) == {2, 4, 5, 6, 7}
     assert len(by_root[1].arcs) == 5  # includes the shared X5→X4 and the self-arc
     assert len(by_root[2].arcs) == 5
 
@@ -404,7 +420,7 @@ def test_decompose_single_node_kb():
     kb = KnowledgeBase({1: make_var(1, "B", prior={1: 0.1})})
     subs = decompose(kb)
     assert len(subs) == 1
-    assert subs[0].variable_ids == {1}
+    assert set(subs[0].variables) == {1}
     assert subs[0].arcs == ()
 
 

@@ -1,0 +1,80 @@
+"""Seeded mutations of the fixture knowledge bases end in a coded error or
+nowhere: ``parse_kb``, ``validate_kb``, ``DiagnosisSession`` and
+``compile_kb`` raise nothing but a ``DucgError`` on a malformed document."""
+
+import json
+import random
+import traceback
+from pathlib import Path
+
+from ducg import DiagnosisSession, DucgError, compile_kb, decompose, parse_kb, validate_kb
+
+DATA = Path(__file__).parent / "data"
+KBS = ("tworoot_kb.json", "tworoot_modular_kb.json", "plant24_kb.json")
+MUTATIONS = 1000
+
+# What a mutated field becomes: every JSON type, in and out of each field's range.
+VALUES = (
+    None, True, False, 0, 1, -1, 2, 7, 0.5, 1.5, -0.25, 1e308, 10**30,
+    "", "x", "B", "X", "0", [], [1], [{}], {}, {"1": 1}, {"0": {"0": 0.5}},
+)
+
+
+def _fields(node, path=()):
+    """The path of every dict value and list item in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def mutate(doc, rng):
+    """A copy of ``doc`` with one or two fields replaced or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.choice((1, 2))):
+        *parents, last = rng.choice(list(_fields(doc)))
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        if isinstance(owner, dict) and rng.random() < 0.2:
+            del owner[last]
+        else:
+            owner[last] = rng.choice(VALUES)
+    return doc
+
+
+def load_all_the_way(text):
+    """Every entry point a KB document reaches, each allowed a coded error."""
+    try:
+        kb = parse_kb(text)
+    except DucgError:
+        return
+    validate_kb(kb)
+    try:
+        DiagnosisSession(kb)
+    except DucgError:
+        pass
+    try:
+        compile_kb(kb.subducgs or decompose(kb))
+    except DucgError:
+        pass
+
+
+def test_mutated_kbs_raise_only_coded_errors():
+    docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
+    escapes = {}
+    for seed in range(MUTATIONS):
+        rng = random.Random(seed)
+        text = json.dumps(mutate(rng.choice(docs), rng))
+        try:
+            load_all_the_way(text)
+        except Exception as exc:  # anything but a DucgError is a defect
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
+            escapes.setdefault(where, []).append(seed)
+    assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}

@@ -12,7 +12,6 @@ from ducg import (
     EvidenceSnapshot,
     KnowledgeBase,
     RootLiteral,
-    SliceGraph,
     StateDef,
     Variable,
     conjoin,
@@ -110,11 +109,10 @@ def test_predict_matches_oracle_forward_marginals(with_default_cause):
         kb = random_kb(random.Random(seed), with_default_cause=with_default_cause)
         for sub in decompose(kb):
             arcs = [a for a in sub.arcs if a.child != a.parent]
-            # no evidence yet, so predict scores every observable
-            quiet = SliceGraph(sub.root, 0, frozenset(), (), {}, sub.variable_ids, ())
             root = kb.variables[sub.root]
             for s in root.abnormal_state_ids:
-                rows = predict(quiet, kb, RootLiteral(sub.root, s))
+                # no evidence yet, so predict scores every observable
+                rows = predict(sub, {}, kb, RootLiteral(sub.root, s))
                 got = {(v, k): p for v, k, p in rows}
                 for v in sorted(sub.variables):
                     if kb.variables[v].kind != "X":

@@ -5,6 +5,7 @@ overhead must be above zero. The runs are marked ``slow``: ``pytest -m "not
 slow"`` leaves them out; the checks that every name the tracer patches still
 exists and is called are not."""
 
+import gzip
 import importlib
 import importlib.util
 import json
@@ -62,18 +63,32 @@ def test_benchmark_run_ends_in_a_correct_result_line(run):
         assert not zero, zero
 
 
-def _load_trace(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_trace", ROOT / "perfbench" / "trace.py")
-    trace = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, trace)  # its dataclasses look it up
-    spec.loader.exec_module(trace)
-    return trace
+def _load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixture_replays_match_the_benchmark_reference(monkeypatch):
+    """The seven ``--no-timing`` fixture replays the benchmark checks, run
+    in-process as it runs them: each exit code and every byte of output must
+    equal its recorded reference, which this test only reads."""
+    from ducg.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # ``check`` imports ``harness``
+    check = _load_perfbench(monkeypatch, "check")
+    with gzip.open(ROOT / "perfbench" / "reference" / "fixtures.json.gz", "rt", encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert len(check.FIXTURES) == 7 and set(expected) == {f[0] for f in check.FIXTURES}
+    assert check.check_fixtures(main, DATA, expected) == []
 
 
 def test_every_traced_name_resolves(monkeypatch):
     """A name the tracer patches that the program no longer has reads as
     ``absent`` in the traced runs; this catches it without running them."""
-    trace = _load_trace(monkeypatch)
+    trace = _load_perfbench(monkeypatch, "trace")
     missing = []
     for target in trace.TARGETS:
         owner = importlib.import_module(target.module)
@@ -90,7 +105,7 @@ def test_every_traced_name_is_called(monkeypatch, capsys):
     repeats take the memo's hit path, must call every one."""
     from ducg.cli import main
 
-    trace = _load_trace(monkeypatch)
+    trace = _load_perfbench(monkeypatch, "trace")
     tracer = trace.Tracer()
     tracer.install(trace.TARGETS)
     try:
