@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
-from .engine import DiagnosisReport, DiagnosisSession, predict
+from .engine import CubicGraph, DiagnosisReport, DiagnosisSession, merge_cubic, predict
 from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import ingest_tick, iter_reading_groups
@@ -25,6 +25,9 @@ from .signals import ingest_tick, iter_reading_groups
 _JSON_SEPARATORS = (",", ":")
 _PROBABILITY_FLOOR = 1e-5
 _NO_RECOVERY_RETRIGGER_HELP = "do not re-diagnose when an abnormal variable returns to normal"
+# Layers a ``--dot-dir`` file draws, a bound however long a session runs. The
+# longest fixture session (the chatter feed) has 13 layers, drawn whole.
+_DOT_LAYERS = 16
 
 
 def _load_kb(path: str) -> KnowledgeBase:
@@ -116,6 +119,7 @@ def _run_feed(
     kb = session.kb
     prev = None
     exit_code = 0
+    drawn: dict[int, tuple[int, CubicGraph]] = {}  # root -> (layers so far, last ones)
 
     def warn_line(line_no: int, exc: Exception) -> None:
         print(f"warning: line {line_no}: {exc}", file=err)
@@ -133,7 +137,17 @@ def _run_feed(
             report = session.diagnose_tick(snapshot)
             _emit_report(report, kb, out, pretty=pretty, with_timing=with_timing)
             if dot_dir is not None:
-                _write_dots(session, kb, dot_dir)
+                extended = {}  # alive roots only: a root that left is dropped
+                for root in session.alive_roots:
+                    count, cubic = drawn.get(root, (0, None))
+                    if count >= _DOT_LAYERS:  # rebuild without the oldest layer
+                        kept, cubic = cubic.layers[1:], None
+                        for layer in kept:
+                            cubic = merge_cubic(cubic, layer.latest, layer.tick)
+                    latest = session.cubic(root)
+                    extended[root] = (count + 1, merge_cubic(cubic, latest.latest, latest.tick))
+                drawn = extended
+                _write_dots(drawn, kb, dot_dir)
             if report.status == "unexplained":
                 exit_code = 2
         elif verbose:
@@ -149,12 +163,13 @@ def _run_feed(
     return exit_code
 
 
-def _write_dots(session: DiagnosisSession, kb: KnowledgeBase, dot_dir: str) -> None:
+def _write_dots(
+    drawn: dict[int, tuple[int, CubicGraph]], kb: KnowledgeBase, dot_dir: str
+) -> None:
     directory = Path(dot_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for root in session.alive_roots:
-        cubic = session.cubic(root)
-        name = f"cubic_B{root}_t{len(cubic.slices)}.dot"
+    for root, (count, cubic) in drawn.items():
+        name = f"cubic_B{root}_t{count}.dot"
         (directory / name).write_text(export_dot(cubic, kb), encoding="utf-8")
 
 
@@ -198,7 +213,7 @@ def _open_feed(args: argparse.Namespace) -> tuple[KnowledgeBase, Iterable[str]]:
 def _cmd_replay(args: argparse.Namespace) -> int:
     kb, lines = _open_feed(args)
     return _run_feed(
-        DiagnosisSession(kb, history=args.dot_dir is not None),
+        DiagnosisSession(kb),
         lines,
         sys.stdout,
         sys.stderr,

@@ -36,7 +36,8 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
             label = f"{var.kind}{var_id}"
             attrs = [f'label="{label}"', f"shape={shape}"]
             if state is not None:
-                attrs[0] = f'label="{label}\\n{var.state(state).name}"'
+                name = var.state(state).name.replace("\\", "\\\\").replace('"', '\\"')
+                attrs[0] = f'label="{label}\\n{name}"'
                 if state != 0:
                     attrs.append("style=filled")
                     attrs.append(f'fillcolor="{_ABNORMAL_FILL}"')

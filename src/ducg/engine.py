@@ -1,21 +1,23 @@
 """Per-tick causal inference over time-layered fault graphs.
 
-For every fault root the engine keeps a *cubic* graph: a persistent chain of
-time layers, each a tick and the root's simplified slice for it, appended in
-O(1). A session keeps the earlier layers only when asked to (DOT export draws
-them). A slice holds only what its evidence selects (no tick), so it is a
-function of the subgraph and the evidence; validity, the evaluators and
-ranking read one ``SliceGraph``, never the cubic graph. Each triggering
-snapshot is explained on the latest slice of every surviving root by one of
-two evaluators, which give its evidence probability ζ and the joint of each
-fault state; the states are then ranked:
+A root's *cubic* graph is a persistent chain of time layers, each a tick and
+the root's simplified slice for it, appended in O(1) by ``merge_cubic``. A
+session holds only each alive root's latest layer, so its memory stays flat
+however long it runs; earlier layers are output, and a caller that draws
+them (the CLI's ``--dot-dir``) chains them itself. A slice holds only what
+its evidence selects (no tick), so it is a function of the subgraph and the
+evidence; validity, the evaluators and ranking read one ``SliceGraph``,
+never the cubic graph. Each triggering snapshot is explained on the latest
+slice of every surviving root by one of two evaluators, which give its
+evidence probability ζ and the joint of each fault state; the states are
+then ranked:
 
 * ``expand`` rewrites the evidence into an exact event expression, which is
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
-  since its per-chain history is what defines a cycle's meaning, and every
-  slice whose route bound (the most products it can build) is at most
-  ``_EXPAND_MAX_ROUTES``: there it is the cheaper of the two, and its
-  summation order is the one the recorded fixture outputs hold;
+  since its record of each literal's causal chain is what defines a cycle's
+  meaning, and every slice whose route bound (the most products it can build)
+  is at most ``_EXPAND_MAX_ROUTES``: there it is the cheaper of the two, and
+  its summation order is the one the recorded fixture outputs hold;
 * ``factored_joints`` runs variable elimination on the slice read as a
   causal network and returns every joint in one pass. It takes the other,
   larger acyclic slices, where the expression would grow exponentially with
@@ -250,8 +252,9 @@ def _families(arcs: Iterable[CausalArc]) -> dict[int, list[tuple[CausalArc, floa
 @dataclass
 class _Term:
     """One partially expanded product. ``pending`` holds X literals still to
-    be rewritten into cause routes; ``pinned`` remembers every state this
-    term has committed to (for exclusivity and expand-once idempotence)."""
+    be rewritten into cause routes, each with the variables of its causal
+    chain; ``pinned`` remembers every state this term has committed to (for
+    exclusivity and expand-once idempotence)."""
 
     roots: dict[int, int]
     arcs: dict[int, ArcLiteral]  # keyed by child variable: one route per child
@@ -268,7 +271,7 @@ class _Term:
 
 
 def _absorb(
-    term: _Term, kb: KnowledgeBase, var: int, state: int, history: frozenset[int]
+    term: _Term, kb: KnowledgeBase, var: int, state: int, chain: frozenset[int]
 ) -> bool:
     """Multiply a variable-state literal into ``term``. False = annihilated."""
     seen = term.pinned.get(var)
@@ -280,22 +283,13 @@ def _absorb(
         term.pinned[var] = state
         return True
     if seen is None:
-        term.pending[var] = (state, history)
+        term.pending[var] = (state, chain)
         term.pinned[var] = state
     elif var in term.pending:
-        old_state, old_history = term.pending[var]
-        term.pending[var] = (old_state, old_history | history)
+        old_state, old_chain = term.pending[var]
+        term.pending[var] = (old_state, old_chain | chain)
     # else: already expanded in this term — idempotent, nothing to add
     return True
-
-
-def _add_arc_literal(term: _Term, lit: ArcLiteral) -> bool:
-    """One realized cause route per child variable; duplicates collapse."""
-    seen = term.arcs.get(lit.child)
-    if seen is None:
-        term.arcs[lit.child] = lit
-        return True
-    return seen == lit
 
 
 def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
@@ -333,11 +327,11 @@ def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
             )
             continue
         var = min(term.pending)
-        state, history = term.pending.pop(var)
+        state, chain = term.pending.pop(var)
 
         routes: list[tuple[ArcLiteral, int, int]] = []
         for arc, share, parallel in families.get(var, ()):
-            if arc.parent in history:
+            if arc.parent in chain:
                 continue  # not a simple causal chain
             parent = kb.variables[arc.parent]
             for j in parent.state_ids:
@@ -357,9 +351,8 @@ def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
 
         for lit, parent, j in routes:
             branch = term.clone()
-            if not _add_arc_literal(branch, lit):
-                continue
-            if not _absorb(branch, kb, parent, j, history | {parent}):
+            branch.arcs[var] = lit  # a term expands each variable once
+            if not _absorb(branch, kb, parent, j, chain | {parent}):
                 continue
             worklist.append(branch)
 
@@ -379,7 +372,8 @@ def _takes_factored_path(g: SliceGraph, kb: KnowledgeBase) -> bool:
 
     The route bound, Π over children of Σ over in-arcs of the parent's state
     count, caps the number of products ``expand`` can build. Cyclic slices
-    always take ``expand``: its per-chain ``history`` defines their meaning.
+    always take ``expand``: its record of each literal's causal chain defines
+    their meaning.
     """
     routes: dict[int, int] = {}
     for arc in g.arcs:
@@ -616,7 +610,7 @@ _MEMO_PER_ROOT = 16
 
 @dataclass
 class _Root:
-    """One alive root: its subgraph, its cubic graph (None until the root
+    """One alive root: its subgraph, its latest layer (None until the root
     explains a tick) and its memo. The memo maps a snapshot's assignments, a
     frozenset of ``(var, state)`` pairs, to the valid slice ``simplify``
     built for it and that slice's ``evaluate`` result, least recently used
@@ -633,20 +627,18 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good, along with its slices and memoised evaluations. With ``history``
-    each root's cubic graph keeps every slice, which DOT export draws;
-    without it only the latest, so memory stays flat however long the
-    session runs.
+    good, along with its slices and memoised evaluations. ``cubic(root)`` is
+    the root's latest layer, a one-layer cubic graph, so memory stays flat
+    however long the session runs.
     """
 
-    def __init__(self, kb: KnowledgeBase, *, history: bool = False):
+    def __init__(self, kb: KnowledgeBase):
         violations = validate_kb(kb)
         if violations:
             raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
         # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
         self._roots: dict[int, _Root] = {s.root: _Root(s) for s in decompose(kb)}
-        self._history = history
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
@@ -681,8 +673,7 @@ class DiagnosisSession:
                 record.memo[key] = entry
                 if len(record.memo) > _MEMO_PER_ROOT:
                     record.memo.popitem(last=False)
-                previous = record.cubic if self._history else None
-                record.cubic = merge_cubic(previous, entry[0], ev.tick)
+                record.cubic = merge_cubic(None, entry[0], ev.tick)
 
         if len(ranked_roots) == 1:
             status = "diagnosed"

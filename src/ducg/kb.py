@@ -322,12 +322,20 @@ def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
     """``kind(value)``, the one conversion every KB number goes through. A value
     that ``kind`` rejects raises :class:`KBSyntaxError` naming ``where`` and
     ``what``; for ``int`` that includes ±inf and NaN, which JSON reads
-    ``1e400`` as."""
+    ``1e400`` as, a bool and a number with a fraction (``1.0`` and the
+    string keys of a JSON object are integers)."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}") from None
+        pass
+    else:
+        # ``int(i) is i`` and ``float(x) is x``: a well-typed number costs one test
+        if number is value or kind is not int or value.__class__ is str or (
+            number == value and value.__class__ is not bool
+        ):
+            return number
+    noun = "an integer" if kind is int else "a number"
+    raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}")
 
 
 def _optional_list(raw: Mapping[str, Any], key: str, prefix: str = "") -> list:

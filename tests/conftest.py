@@ -30,6 +30,7 @@ from ducg import (
     DiagnosisSession,
     ingest_tick,
     iter_reading_groups,
+    merge_cubic,
     parse_kb,
 )
 
@@ -55,11 +56,20 @@ def run_cli(*argv, stdin_text=None, cwd=None):
     )
 
 
-def run_scenario(kb, csv_path, *, history=True, **ingest_kwargs):
-    """Replay a signal file through a fresh session; return triggered reports.
-    ``history`` keeps every slice, which DOT export and slice tests read."""
-    session = DiagnosisSession(kb, history=history)
-    reports = []
+def extend_layers(layered, session):
+    """Each alive root's layered graph, extended by its latest layer in
+    ``session`` with ``merge_cubic``, as ``ducg --dot-dir`` does (unbounded
+    here); a root that left the hypothesis space is dropped."""
+    latest = {root: session.cubic(root) for root in session.alive_roots}
+    return {root: merge_cubic(layered.get(root), c.latest, c.tick) for root, c in latest.items()}
+
+
+def run_scenario(kb, csv_path, **ingest_kwargs):
+    """Replay a signal file through a fresh session. Return the triggered
+    reports, the session, and each alive root's layered graph of every tick
+    it explained, which DOT export and slice tests read."""
+    session = DiagnosisSession(kb)
+    reports, layered = [], {}
     prev = None
     lines = Path(csv_path).read_text().splitlines()
     for _tick, readings in iter_reading_groups(lines):
@@ -67,7 +77,8 @@ def run_scenario(kb, csv_path, *, history=True, **ingest_kwargs):
         prev = snapshot
         if triggered and snapshot.abnormal_set:
             reports.append(session.diagnose_tick(snapshot))
-    return reports, session
+            layered = extend_layers(layered, session)
+    return reports, session, layered
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +98,7 @@ def tworoot_signals():
 
 @pytest.fixture()
 def tworoot_reports(tworoot_kb, tworoot_signals):
-    reports, _session = run_scenario(tworoot_kb, tworoot_signals)
+    reports, _session, _layered = run_scenario(tworoot_kb, tworoot_signals)
     return reports
 
 

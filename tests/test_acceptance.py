@@ -66,7 +66,7 @@ REFERENCE_TRACE = {
 
 def test_c1_reference_scenario_probabilities(tworoot_kb, tworoot_signals):
     started = time.perf_counter()
-    reports, _ = run_scenario(tworoot_kb, tworoot_signals)
+    reports, _, _ = run_scenario(tworoot_kb, tworoot_signals)
     elapsed = time.perf_counter() - started
 
     assert [r.tick for r in reports] == sorted(REFERENCE_TRACE)
@@ -90,7 +90,7 @@ def test_c1_reference_scenario_probabilities(tworoot_kb, tworoot_signals):
 
 
 def test_c2_exonerated_root_leaves_hypothesis_space(tworoot_kb, tworoot_signals):
-    reports, session = run_scenario(tworoot_kb, tworoot_signals)
+    reports, session, _ = run_scenario(tworoot_kb, tworoot_signals)
     final = reports[-1]
 
     ev = EvidenceSnapshot.build(final.tick, dict(final.abnormal) | dict(final.normal))
@@ -127,7 +127,7 @@ def test_c4_posteriors_and_weights_normalize(
     tworoot_kb, tworoot_signals, plant_kb, plant_signals
 ):
     for kb, signals in ((tworoot_kb, tworoot_signals), (plant_kb, plant_signals)):
-        reports, _ = run_scenario(kb, signals)
+        reports, _, _ = run_scenario(kb, signals)
         assert reports
         for report in reports:
             total = sum(h.posterior for h in report.hypotheses)
@@ -176,7 +176,7 @@ def test_c4_posteriors_and_weights_normalize(
 
 def test_c5_plant_scenario_narrows_and_is_fast(plant_kb, plant_signals):
     assert len(plant_kb.roots()) == 24
-    reports, session = run_scenario(plant_kb, plant_signals)
+    reports, session, _ = run_scenario(plant_kb, plant_signals)
     widths = [len({h.root for h in r.hypotheses}) for r in reports]
     assert widths == [16, 3, 1]
     assert all(a > b for a, b in zip(widths, widths[1:]))
@@ -286,12 +286,12 @@ def test_c7_outputs_are_stable_and_schema_valid(tworoot_kb, report_schema):
         )
         assert again.stdout == replayed.stdout
 
-    _, session = run_scenario(tworoot_kb, signals_path)
-    (root,) = session.alive_roots
-    dot = export_dot(session.cubic(root), tworoot_kb)
+    _, _, layered = run_scenario(tworoot_kb, signals_path)
+    (root,) = layered
+    dot = export_dot(layered[root], tworoot_kb)
     for _ in range(9):
-        _, fresh = run_scenario(tworoot_kb, signals_path)
-        assert export_dot(fresh.cubic(root), tworoot_kb) == dot
+        _, _, fresh = run_scenario(tworoot_kb, signals_path)
+        assert export_dot(fresh[root], tworoot_kb) == dot
 
     feeds = [
         ("tworoot_kb.json", "tworoot_signals.csv", ()),

@@ -42,7 +42,7 @@ from ducg import (
 
 from ducg.kb import ROOT_KINDS
 
-from conftest import run_scenario
+from conftest import extend_layers, run_scenario
 from generators import deep_evidence, layered_kb, random_cyclic_kb, random_evidence, random_kb
 
 
@@ -483,7 +483,7 @@ def test_factored_joints_match_expand_on_deep_slices():
 
 
 def test_session_golden_scenario(tworoot_kb, tworoot_signals):
-    reports, session = run_scenario(tworoot_kb, tworoot_signals)
+    reports, session, layered = run_scenario(tworoot_kb, tworoot_signals)
     assert [r.tick for r in reports] == [14, 16, 17]
     assert [r.status for r in reports] == ["ambiguous", "ambiguous", "diagnosed"]
 
@@ -498,11 +498,13 @@ def test_session_golden_scenario(tworoot_kb, tworoot_signals):
 
     assert session.alive_roots == (2,)
     assert session.cubic(1) is None
-    assert len(session.cubic(2).slices) == 3
+    assert len(session.cubic(2).slices) == 1  # the session holds the latest layer
+    assert list(layered) == [2]
+    assert len(layered[2].slices) == 3
 
 
 def test_session_hypothesis_space_is_monotone(tworoot_kb, tworoot_signals):
-    reports, _ = run_scenario(tworoot_kb, tworoot_signals)
+    reports, _, _ = run_scenario(tworoot_kb, tworoot_signals)
     alive = [set(h.root for h in r.hypotheses) for r in reports]
     for before, after in zip(alive, alive[1:]):
         assert after <= before
@@ -567,7 +569,7 @@ def test_session_timing_is_recorded(tworoot_reports):
 
 
 def test_plant_scenario_narrows_to_single_root(plant_kb, plant_signals):
-    reports, session = run_scenario(plant_kb, plant_signals)
+    reports, session, _ = run_scenario(plant_kb, plant_signals)
     widths = [len({h.root for h in r.hypotheses}) for r in reports]
     assert widths == [16, 3, 1]
     assert reports[-1].status == "diagnosed"
@@ -632,11 +634,12 @@ def test_warm_memo_still_drops_a_root_that_misses_an_abnormal_observation(tworoo
 
 def test_memo_hits_keep_each_slice_at_its_own_tick(tworoot_kb):
     ticks = list(range(3, 15))
-    session = DiagnosisSession(tworoot_kb, history=True)
+    session, layered = DiagnosisSession(tworoot_kb), {}
     for t in ticks:
         session.diagnose_tick(snapshot(t, (T1, T2)[t % 2]))
-    assert [layer.tick for layer in session.cubic(1).layers] == ticks
-    assert [layer.tick for layer in session.cubic(2).layers] == ticks
+        layered = extend_layers(layered, session)
+    assert [layer.tick for layer in layered[1].layers] == ticks
+    assert [layer.tick for layer in layered[2].layers] == ticks
 
 
 def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):
@@ -654,7 +657,7 @@ def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):
 def test_a_tick_that_raises_mid_evaluation_commits_nothing(tworoot_kb, monkeypatch):
     """Evaluating the second root of a missed tick raises: no root keeps a
     new cubic graph or memo entry, and the hypothesis space stays as it was."""
-    session = DiagnosisSession(tworoot_kb, history=True)
+    session = DiagnosisSession(tworoot_kb)
     session.diagnose_tick(snapshot(1, T1))
     before = {
         r: (session.cubic(r), list(record.memo.items()))
@@ -765,8 +768,8 @@ def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb):
 
 
 def test_long_session_memory_is_bounded(tworoot_kb):
-    """16,000 triggers hold under 1 MiB: without history a root keeps only
-    its latest slice, and the memo is capped."""
+    """16,000 triggers hold under 1 MiB: a root keeps only its latest
+    layer, and the memo is capped."""
     pattern = (T1, T2)
     session = DiagnosisSession(tworoot_kb)
     for t in range(16):

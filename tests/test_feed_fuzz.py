@@ -1,0 +1,105 @@
+"""Seeded mutations of the fixture signal feeds never end in a traceback:
+``cli._run_feed`` warns about what it cannot read and goes on, exits 0 or 2,
+and writes only JSON lines."""
+
+import io
+import json
+import random
+import traceback
+from pathlib import Path
+
+from ducg import DiagnosisSession, parse_kb
+from ducg.cli import _run_feed
+
+DATA = Path(__file__).parent / "data"
+FEEDS = (
+    ("tworoot_kb.json", "tworoot_signals.csv"),
+    ("tworoot_kb.json", "tworoot_chatter_signals.csv"),
+    ("plant24_kb.json", "plant24_signals.csv"),
+)
+MUTATIONS = 1000
+
+# What a mutated field becomes: junk, non-finite, huge, negative, out of range.
+JUNK = (
+    "", " ", "x", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1e308",
+    "9" * 40, "-1", "0", "2.5", "0x10", "1_000", "MP05", "MP99", "#", '"', "\x00", "é",
+)
+# Whole lines a feed may carry mid-stream.
+INSERTS = ("", "   ", "# a comment", "tick,measure_point,value", ",,", "1,2", "1,2,3,4")
+
+
+def _edit_field(fields, rng):
+    fields[rng.randrange(len(fields))] = rng.choice(JUNK)
+
+
+def _drop_column(fields, rng):
+    del fields[rng.randrange(len(fields))]
+
+
+def _duplicate_column(fields, rng):
+    i = rng.randrange(len(fields))
+    fields.insert(i, fields[i])
+
+
+def _extra_column(fields, rng):
+    fields.insert(rng.randrange(len(fields) + 1), rng.choice(JUNK))
+
+
+FIELD_EDITS = (_edit_field, _drop_column, _duplicate_column, _extra_column)
+
+
+def mutate(lines, rng):
+    """A copy of ``lines`` with one to three line or field mutations."""
+    lines = list(lines)
+    for _ in range(rng.choice((1, 2, 3))):
+        i = rng.randrange(len(lines))
+        action = rng.randrange(4)
+        if action == 0:  # a field: junk, dropped, duplicated or extra
+            fields = lines[i].split(",")
+            rng.choice(FIELD_EDITS)(fields, rng)
+            lines[i] = ",".join(fields)
+        elif action == 1:  # a blank, comment, header or misshapen line
+            lines.insert(i, rng.choice(INSERTS))
+        elif action == 2:  # a line repeated elsewhere, so ticks can regress
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        else:
+            del lines[i]
+            if not lines:
+                lines.append(rng.choice(INSERTS))
+    return lines
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_mutated_feeds_end_in_warnings_not_tracebacks():
+    feeds = [
+        (parse_kb((DATA / kb).read_text(encoding="utf-8")),
+         (DATA / signals).read_text(encoding="utf-8").splitlines())
+        for kb, signals in FEEDS
+    ]
+    escapes, reports = {}, 0
+    for seed in range(MUTATIONS):
+        rng = random.Random(seed)
+        kb, lines = rng.choice(feeds)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = _run_feed(
+                DiagnosisSession(kb),
+                mutate(lines, rng),
+                out,
+                err,
+                verbose=rng.random() < 0.5,
+                recovery_retrigger=rng.random() < 0.5,
+            )
+            assert code in (0, 2), f"exit code {code}"
+            for line in out.getvalue().splitlines():
+                json.loads(line, parse_constant=_strict)
+                reports += 1
+        except Exception as exc:  # a traceback, a bad exit code or a non-JSON line
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
+            escapes.setdefault(where, []).append(seed)
+    assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
+    assert reports > MUTATIONS  # the mutations left most feeds readable

@@ -148,7 +148,9 @@ def test_parse_reads_null_list_fields_as_empty():
 
 
 # Number literals JSON cannot hand to int(): 1e400 reads as inf, so int()
-# raised a bare OverflowError (or ValueError for a string key) before.
+# raised a bare OverflowError (or ValueError for a string key) before. The
+# last five put a bool or a fraction in an integer field, which int() read as
+# 1 or truncated.
 _BAD_NUMBERS = {
     "variable id": ("variables[0]", lambda d: d["variables"][0].update(id="@1e400")),
     "state id": ("variables[0]", lambda d: d["variables"][0]["states"][1].update(id="@1e400")),
@@ -159,6 +161,11 @@ _BAD_NUMBERS = {
     ),
     "arc weight": ("arcs[0]", lambda d: d["arcs"][0].update(weight="heavy")),
     "intensity": ("arcs[0]", lambda d: d["arcs"][0].update(matrix={"1": {"1": [0.5]}})),
+    "fractional variable id": ("variables[0]", lambda d: d["variables"][0].update(id=1.7)),
+    "bool variable id": ("variables[0]", lambda d: d["variables"][0].update(id=True)),
+    "bool state id": ("variables[1]", lambda d: d["variables"][1]["states"][1].update(id=True)),
+    "fractional arc child": ("arcs[0]", lambda d: d["arcs"][0].update(child=3.2)),
+    "bool arc parent": ("arcs[0]", lambda d: d["arcs"][0].update(parent=True)),
 }
 
 
@@ -190,6 +197,22 @@ def test_validate_reports_unconvertible_numbers_without_traceback(case, tmp_path
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {where}:"), proc.stderr
+
+
+def test_parse_reads_integral_floats_and_string_keys_as_integers():
+    doc = {
+        "version": 1,
+        "variables": [json.loads(var_json(1, "B")), json.loads(var_json(3, "X"))],
+        "arcs": [{"child": 3.0, "parent": 1.0, "weight": 1, "matrix": {"1": {"1": 0.5}}}],
+    }
+    doc["variables"][0]["id"] = 1.0
+    kb = parse_kb(json.dumps(doc))
+    assert validate_kb(kb) == []
+    assert [type(v) for v in kb.variables] == [int, int]
+    (arc,) = kb.arcs
+    assert (arc.child, arc.parent, arc.weight) == (3, 1, 1.0)
+    assert type(arc.child) is type(arc.parent) is int
+    assert kb.variables[1].prior == {1: 0.1}
 
 
 def var_json(vid, kind, prior=None):
