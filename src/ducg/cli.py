@@ -11,6 +11,9 @@ import argparse
 import json
 import os
 import sys
+from collections import OrderedDict
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -23,6 +26,10 @@ from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, va
 from .signals import ingest_tick, iter_reading_groups
 
 _JSON_SEPARATORS = (",", ":")
+_ENCODER = json.JSONEncoder(separators=_JSON_SEPARATORS)  # what ``json.dumps`` builds per call
+# Report texts a feed caches, a bound however long it runs; the engine keeps
+# as many rankings.
+_EMIT_CACHE = 16
 _PROBABILITY_FLOOR = 1e-5
 _NO_RECOVERY_RETRIGGER_HELP = "do not re-diagnose when an abnormal variable returns to normal"
 # Layers a ``--dot-dir`` file draws, a bound however long a session runs. The
@@ -60,6 +67,40 @@ def _report_json(report: DiagnosisReport, with_timing: bool) -> dict:
     }
 
 
+def _report_line(report: DiagnosisReport, with_timing: bool, cache: OrderedDict) -> str:
+    """``json.dumps(_report_json(report, with_timing))`` with ``_JSON_SEPARATORS``,
+    and a newline.
+
+    The engine hands back the same hypotheses, abnormal and normal tuples
+    whenever it repeats a ranking, so ``cache`` keeps the JSON text of the
+    ``hypotheses`` and ``evidence`` members keyed on their identity, least
+    recently used first. An entry holds the tuples it was cut from, so their
+    ids cannot be reused while it lives. A hit renders only the tick, status
+    and timing around it; a miss encodes the whole report once and cuts the
+    members out between the first ``,"hypotheses":`` (the status before it
+    is a JSON string, whose quotes are escaped) and the last ``,"timing_ms":``.
+    """
+    h = report.hypotheses
+    entry = cache.get(id(h))
+    if (
+        entry is None
+        or entry[0] is not h
+        or entry[1] is not report.abnormal
+        or entry[2] is not report.normal
+    ):
+        text = _ENCODER.encode(_report_json(report, with_timing))
+        members = text[text.index(',"hypotheses":') + 1 : text.rindex(',"timing_ms":')]
+        cache[id(h)] = (h, report.abnormal, report.normal, members)
+        if len(cache) > _EMIT_CACHE:
+            cache.popitem(last=False)
+        return text + "\n"
+    cache.move_to_end(id(h))
+    timing = round(report.timing_ms, 3) if with_timing else 0.0
+    timing_text = repr(timing) if isfinite(timing) else _ENCODER.encode(timing)
+    status = encode_basestring_ascii(report.status)
+    return f'{{"tick":{report.tick},"status":{status},{entry[3]},"timing_ms":{timing_text}}}\n'
+
+
 def format_probability(p: float) -> str:
     """4 significant digits as a percentage, with a floor for trace amounts."""
     if p < _PROBABILITY_FLOOR:
@@ -93,11 +134,12 @@ def _emit_report(
     *,
     pretty: bool,
     with_timing: bool,
+    cache: OrderedDict,
 ) -> None:
     if pretty:
         _emit_pretty(report, kb, out, with_timing)
     else:
-        out.write(json.dumps(_report_json(report, with_timing), separators=_JSON_SEPARATORS) + "\n")
+        out.write(_report_line(report, with_timing, cache))
     out.flush()
 
 
@@ -120,6 +162,7 @@ def _run_feed(
     prev = None
     exit_code = 0
     drawn: dict[int, tuple[int, CubicGraph]] = {}  # root -> (layers so far, last ones)
+    members: OrderedDict = OrderedDict()  # ``_report_line``'s cache, one per feed
 
     def warn_line(line_no: int, exc: Exception) -> None:
         print(f"warning: line {line_no}: {exc}", file=err)
@@ -135,7 +178,7 @@ def _run_feed(
 
         if trigger and snapshot.abnormal_set:
             report = session.diagnose_tick(snapshot)
-            _emit_report(report, kb, out, pretty=pretty, with_timing=with_timing)
+            _emit_report(report, kb, out, pretty=pretty, with_timing=with_timing, cache=members)
             if dot_dir is not None:
                 extended = {}  # alive roots only: a root that left is dropped
                 for root in session.alive_roots:
@@ -159,7 +202,7 @@ def _run_feed(
                 normal=tuple(snapshot.normal_items()),
                 timing_ms=0.0,
             )
-            _emit_report(idle, kb, out, pretty=pretty, with_timing=with_timing)
+            _emit_report(idle, kb, out, pretty=pretty, with_timing=with_timing, cache=members)
     return exit_code
 
 

@@ -31,6 +31,16 @@ is, its ζ and its joints, with no ``simplify``, ``check_valid`` or
 evidence pattern. Ranking reads only each root's ζ and joints, and a tick
 changes no record until it is ranked.
 
+In front of the per-root memos, a ranking memo keyed on the assignments and
+the alive roots holds the ``_MEMO_PER_ROOT`` most recently used rankings:
+hypotheses, ranked roots, status and evidence, as tuples. A repeat of a
+ranked evidence over the same hypothesis space is a lookup: it commits what
+the full path would (the ranked roots stay, each moves its memo entry to the
+end and takes a layer holding its stored slice) and builds no hypothesis.
+It is used only while every ranked root still holds its memo entry for the
+evidence; otherwise the tick takes the full path. The report reuses the
+stored tuples, so equal rankings are identical objects.
+
 Slices and ranking follow these rules; each convention is written once:
 
 * a slice keeps exactly the arcs lying on a causal path from the root to some
@@ -639,6 +649,9 @@ class DiagnosisSession:
         self.kb = kb
         # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
         self._roots: dict[int, _Root] = {s.root: _Root(s) for s in decompose(kb)}
+        # (evidence key, alive roots) -> (hypotheses, ranked roots, status,
+        # abnormal, normal), least recently used first
+        self._rankings: OrderedDict = OrderedDict()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
@@ -654,6 +667,29 @@ class DiagnosisSession:
         # Built and hashed once for every root. A stored key holds an abnormal
         # state, so evidence with none always misses and ``simplify`` raises.
         key = frozenset(ev.assignments.items())
+        # Keyed on the alive roots too: a stored ranking was then made over
+        # this very hypothesis space, so every root it ranked is still alive.
+        ranking_key = (key, tuple(self._roots))
+        ranking = self._rankings.get(ranking_key)
+        if ranking is not None and all(key in self._roots[r].memo for r in ranking[1]):
+            # commit what the full path would: the same roots, memo order and layers
+            self._rankings.move_to_end(ranking_key)
+            self._roots = {r: self._roots[r] for r in ranking[1]}
+            for record in self._roots.values():
+                record.memo.move_to_end(key)
+                record.cubic = merge_cubic(None, record.memo[key][0], ev.tick)
+        else:
+            ranking = self._rank(ev, key)
+            self._rankings[ranking_key] = ranking
+            if len(self._rankings) > _MEMO_PER_ROOT:
+                self._rankings.popitem(last=False)
+        hypotheses, _, status, abnormal, normal = ranking
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)
+
+    def _rank(self, ev: EvidenceSnapshot, key: frozenset) -> tuple:
+        """Evaluate every alive root on ``ev`` (through its memo), rank them and
+        commit the ranked ones; return the ranking memo's entry."""
         evaluated = []  # (root, record, memo entry); no record changes until ranked
         for root, record in self._roots.items():
             entry = record.memo.get(key)
@@ -681,14 +717,12 @@ class DiagnosisSession:
             status = "ambiguous"
         else:
             status = "unexplained"
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return DiagnosisReport(
-            tick=ev.tick,
-            status=status,
-            hypotheses=tuple(hypotheses),
-            abnormal=tuple(ev.abnormal_items()),
-            normal=tuple(ev.normal_items()),
-            timing_ms=elapsed_ms,
+        return (
+            tuple(hypotheses),
+            tuple(self._roots),
+            status,
+            tuple(ev.abnormal_items()),
+            tuple(ev.normal_items()),
         )
 
 

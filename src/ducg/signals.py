@@ -60,8 +60,9 @@ def parse_signal_record(line: str) -> Reading:
     """Parse one ``tick,measure_point,value`` line.
 
     Errors carry a 1-based ``column``; 0 means the line shape itself is wrong.
+    Stripping each field also strips the line's ends.
     """
-    parts = [p.strip() for p in line.strip().split(",")]
+    parts = [p.strip() for p in line.split(",")]
     if len(parts) != 3:
         raise MalformedLineError(
             f"expected 3 comma-separated columns, got {len(parts)}", column=0
@@ -124,28 +125,36 @@ def ingest_tick(
         raise ValueError(f"readings span multiple ticks: {sorted(ticks)}")
     tick = ticks.pop() if ticks else (prev.tick if prev else 0)
 
-    assignments: dict[int, int] = dict(prev.assignments) if prev else {}
+    before: Mapping[int, int] = prev.assignments if prev else {}
+    read: dict[int, int] = {}
     for reading in readings:  # later readings of one channel overwrite earlier
         try:
             var_id = kb.measure_points.get(reading.measure_point)
             if var_id is None:
                 raise UnknownMeasurePointError(reading.measure_point)
-            assignments[var_id] = map_reading(kb.variables[var_id], reading.value)
+            read[var_id] = map_reading(kb.variables[var_id], reading.value)
         except (UnknownMeasurePointError, OutOfRangeError) as exc:
             if on_error is None:
                 raise
             on_error(tick, exc)
 
-    snapshot = EvidenceSnapshot.build(tick, assignments)
-
-    prev_abnormal = (
-        {(v, prev.assignments[v]) for v in prev.abnormal_set} if prev else set()
+    # Only the variables whose state changed move between the sets; with none,
+    # the snapshot shares ``prev``'s, which no snapshot ever mutates.
+    changed = {v: s for v, s in read.items() if before.get(v) != s}
+    abnormal = prev.abnormal_set if prev else frozenset()
+    normal = prev.normal_set if prev else frozenset()
+    if not changed:
+        return EvidenceSnapshot(tick, before, abnormal, normal), False
+    now_abnormal = {v for v, s in changed.items() if s != 0}
+    now_normal = changed.keys() - now_abnormal
+    snapshot = EvidenceSnapshot(
+        tick,
+        {**before, **changed},
+        abnormal.difference(now_normal).union(now_abnormal),
+        normal.difference(now_abnormal).union(now_normal),
     )
-    now_abnormal = {(v, snapshot.assignments[v]) for v in snapshot.abnormal_set}
-    trigger = bool(now_abnormal - prev_abnormal)
-    if not trigger and retrigger_on_recovery:
-        recovered = {v for v, _ in prev_abnormal} - snapshot.abnormal_set
-        trigger = bool(recovered)
+    # A changed variable that is abnormal now holds a new abnormal pair.
+    trigger = bool(now_abnormal) or (retrigger_on_recovery and not abnormal.isdisjoint(now_normal))
     return snapshot, trigger
 
 

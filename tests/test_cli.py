@@ -1,9 +1,15 @@
 """End-to-end command line behaviour, run through real subprocesses."""
 
 import json
+from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ducg.cli import _EMIT_CACHE, _JSON_SEPARATORS, _report_json, _report_line
+from ducg.engine import DiagnosisReport, HypothesisResult
 
 from conftest import run_cli
 
@@ -379,3 +385,72 @@ def test_format_probability_floor_and_digits():
     assert format_probability(1e-5) == "0.001%"
     assert format_probability(9e-6) == "<0.001%"
     assert format_probability(0.0) == "<0.001%"
+
+
+_EDGE_FLOATS = [5e-324, 1e-300, 1.0, 0.1 + 0.2, 1 / 3, 0.0]
+_probabilities = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 1.0))
+_hypotheses = st.lists(
+    st.builds(
+        HypothesisResult,
+        root=st.integers(1, 10**6),
+        state=st.integers(1, 9),
+        joint=_probabilities,
+        zeta=_probabilities,
+        xi=_probabilities,
+        posterior=_probabilities,
+    ),
+    max_size=5,
+).map(tuple)
+_pairs = st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 9)), max_size=4).map(tuple)
+_reports = st.builds(
+    DiagnosisReport,
+    tick=st.integers(0, 2**63),
+    status=st.sampled_from(["diagnosed", "ambiguous", "unexplained", "no_trigger"]),
+    hypotheses=_hypotheses,
+    abnormal=_pairs,
+    normal=_pairs,
+    timing_ms=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reports=st.lists(_reports, min_size=1, max_size=6),
+    with_timing=st.booleans(),
+    later=st.lists(st.tuples(st.integers(0, 2**63), st.floats()), min_size=1, max_size=3),
+)
+def test_report_line_equals_json_dumps(reports, with_timing, later):
+    """Every emitted line is ``json.dumps`` of the report, whether its
+    members come from the cache or not: each report is emitted as built,
+    again at later ticks with other timings on the same tuples, then with
+    its evidence tuples swapped for equal copies and for the first report's
+    abnormal tuple."""
+    cache = OrderedDict()
+
+    def check(report):
+        expected = json.dumps(_report_json(report, with_timing), separators=_JSON_SEPARATORS) + "\n"
+        assert _report_line(report, with_timing, cache) == expected
+
+    for report in reports:
+        check(report)
+        for tick, timing in later:
+            check(replace(report, tick=tick, timing_ms=timing))
+        copies = {"abnormal": tuple(list(report.abnormal)), "normal": tuple(list(report.normal))}
+        check(replace(report, **copies))
+        check(replace(report, abnormal=reports[0].abnormal))
+    assert len(cache) <= _EMIT_CACHE
+
+
+def test_report_line_cache_is_bounded_least_recently_used_first():
+    made = [
+        DiagnosisReport(t, "diagnosed", (HypothesisResult(t, 1, 0.5, 0.5, 1.0, 1.0),), ((t, 1),), (), 0.2)
+        for t in range(_EMIT_CACHE + 1)
+    ]
+    cache = OrderedDict()
+    for report in made:
+        _report_line(report, True, cache)
+    assert len(cache) == _EMIT_CACHE and id(made[0].hypotheses) not in cache
+    _report_line(made[1], True, cache)  # a hit makes it the most recently used
+    assert next(reversed(cache)) == id(made[1].hypotheses)
+    assert _report_line(made[0], False, cache) == json.dumps(
+        _report_json(made[0], False), separators=_JSON_SEPARATORS) + "\n"

@@ -597,6 +597,23 @@ def _uncached_hypotheses(kb, snapshots):
     return out
 
 
+def _report_fields(reports):
+    return [(r.status, r.hypotheses, r.abnormal, r.normal) for r in reports]
+
+
+def _fresh_reports(kb, snapshots):
+    """Each tick diagnosed by a new session that holds only the roots alive
+    before it, so neither memo can answer: every report field but the timing."""
+    alive, reports = None, []
+    for ev in snapshots:
+        fresh = DiagnosisSession(kb)
+        if alive is not None:
+            fresh._roots = {r: record for r, record in fresh._roots.items() if r in alive}
+        reports.append(fresh.diagnose_tick(ev))
+        alive = fresh.alive_roots
+    return _report_fields(reports)
+
+
 def _counting(monkeypatch, name="evaluate"):
     """Record the root of every call the session makes to ``ducg.engine.<name>``."""
     calls = []
@@ -619,6 +636,59 @@ def test_memoised_session_equals_uncached_on_alternating_stream(tworoot_kb, monk
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 4)
     assert [r.hypotheses for r in reports] == _uncached_hypotheses(tworoot_kb, snapshots)
     assert session.alive_roots == (1, 2)
+
+
+def test_a_full_hit_tick_does_no_inference(tworoot_kb, monkeypatch):
+    """Once both alternating patterns are ranked, a repeat is a lookup: no
+    slicing, check, evaluation or ranking, yet the same report, and every
+    ranked root's layer moves to the tick."""
+    snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(40)]
+    expected = _uncached_hypotheses(tworoot_kb, snapshots), _fresh_reports(tworoot_kb, snapshots)
+    session = DiagnosisSession(tworoot_kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots[:2]]
+
+    def no_inference(*args):
+        raise AssertionError("a full-hit tick ran inference")
+
+    for name in ("simplify", "check_valid", "evaluate", "rank_hypotheses"):
+        monkeypatch.setattr(ducg.engine, name, no_inference)
+    for ev in snapshots[2:]:
+        reports.append(session.diagnose_tick(ev))
+        assert reports[-1].hypotheses
+        for h in reports[-1].hypotheses:
+            assert session.cubic(h.root).tick == ev.tick
+    assert ([r.hypotheses for r in reports], _report_fields(reports)) == expected
+
+
+def test_a_ranked_root_that_lost_its_memo_entry_takes_the_full_path(tworoot_kb, monkeypatch):
+    """A stored ranking is used only while every ranked root holds its memo
+    entry for the evidence. The ranking memo and each root's memo evict in
+    step, so a stream never parts them; here one entry is dropped by hand."""
+    snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(6)]
+    session = DiagnosisSession(tworoot_kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots[:4]]
+    del session._roots[2].memo[frozenset(T1.items())]
+    calls = _counting(monkeypatch, "simplify")
+    reports += [session.diagnose_tick(ev) for ev in snapshots[4:]]
+    assert calls == [2]  # root 1 still hits its own memo
+    assert _report_fields(reports) == _fresh_reports(tworoot_kb, snapshots)
+    assert all(session.cubic(r).tick == 5 for r in (1, 2))
+
+
+def test_a_pattern_evicted_from_both_memos_is_ranked_again(monkeypatch):
+    """A stream cycling through one more pattern than the memos hold evicts
+    each before it repeats: every tick takes the full path, with equal reports."""
+    cap = ducg.engine._MEMO_PER_ROOT
+    observed = tuple(range(2, 2 + (cap + 1).bit_length()))
+    kb = _inline_kb([CausalArc(x, 1, 1.0, {1: {1: 0.6}}) for x in observed], extra_x=observed)
+    patterns = [{x: (n >> i) & 1 for i, x in enumerate(observed)} for n in range(1, cap + 2)]
+    snapshots = [snapshot(t, patterns[t % len(patterns)]) for t in range(2 * len(patterns))]
+    calls = _counting(monkeypatch, "simplify")
+    session = DiagnosisSession(kb)
+    reports = [session.diagnose_tick(ev) for ev in snapshots]
+    assert len(calls) == len(snapshots)
+    assert _report_fields(reports) == _fresh_reports(kb, snapshots)
+    assert len(session._rankings) == len(session._roots[1].memo) == cap
 
 
 def test_warm_memo_still_drops_a_root_that_misses_an_abnormal_observation(tworoot_kb):
@@ -693,9 +763,11 @@ def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot
 
 @pytest.mark.parametrize("with_default_cause", [False, True])
 def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, monkeypatch):
-    """200 random KBs, each fed 12 ticks drawn from three evidence patterns."""
+    """200 random KBs, each fed 12 ticks drawn from three evidence patterns.
+    Some patterns repeat after a root they ranked has left, so the ranking
+    memo must not answer for a hypothesis space it did not rank."""
     calls = _counting(monkeypatch)
-    memoised = uncached = 0
+    memoised = uncached = repeats_after_a_ranked_root_left = 0
     for seed in range(200):
         rng = random.Random(seed)
         kb = random_kb(rng, with_default_cause=with_default_cause)
@@ -703,12 +775,20 @@ def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, 
         snapshots = [snapshot(t, rng.choice(patterns)) for t in range(12)]
         session = DiagnosisSession(kb)
         calls.clear()
-        reports = [session.diagnose_tick(ev) for ev in snapshots]
+        reports, ranked = [], {}  # evidence key -> roots its last occurrence ranked
+        for ev in snapshots:
+            key = frozenset(ev.assignments.items())
+            if key in ranked and not set(ranked[key]) <= set(session.alive_roots):
+                repeats_after_a_ranked_root_left += 1
+            reports.append(session.diagnose_tick(ev))
+            ranked[key] = session.alive_roots
         memoised += len(calls)
         calls.clear()
         assert [r.hypotheses for r in reports] == _uncached_hypotheses(kb, snapshots), seed
         uncached += len(calls)
+        assert _report_fields(reports) == _fresh_reports(kb, snapshots), seed
     assert memoised < uncached / 2
+    assert repeats_after_a_ranked_root_left >= 20
 
 
 def test_memo_misses_when_an_out_of_scope_condition_flips(monkeypatch):

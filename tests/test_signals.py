@@ -1,5 +1,7 @@
 """Signal gateway: reading parsing, interval mapping, trigger semantics."""
 
+import random
+
 import pytest
 
 from ducg import (
@@ -200,6 +202,54 @@ def test_ingest_last_reading_wins(tworoot_kb):
         tworoot_kb,
     )
     assert snap.assignments == {5: 0}
+
+
+@pytest.mark.parametrize("retrigger", [True, False])
+def test_ingest_equals_a_fold_from_scratch_on_random_streams(retrigger):
+    """``ingest_tick`` moves only the variables a tick changed; each snapshot
+    and trigger must equal a rebuild from every reading so far, with the
+    trigger read off the abnormal (variable, state) pairs."""
+    gauges = {
+        v: Variable(
+            id=v, kind="X", label=f"gauge {v}",
+            states=(
+                StateDef(0, "normal", "normal", (0.0, 1.0)),
+                StateDef(1, "high", "abnormal", (1.0, 2.0)),
+                StateDef(2, "very-high", "abnormal", (2.0, 3.0)),
+            ),
+            measure_point=f"P{v}",
+        )
+        for v in (2, 3, 4)
+    }
+    root = Variable(
+        id=1, kind="B", label="fault",
+        states=(StateDef(0, "normal", "normal"), StateDef(1, "s1", "abnormal")),
+        prior={1: 0.1},
+    )
+    kb = KnowledgeBase({1: root, **gauges})
+    points = {g.measure_point: g for g in gauges.values()}
+    rng = random.Random(3)
+    for _ in range(200):
+        prev, folded = None, {}
+        for tick in range(12):
+            batch = [  # PX is unknown and 9.0 out of range: both are skipped
+                Reading(tick, rng.choice([*points, "PX"]), rng.choice([0.5, 1.5, 2.5, 9.0]))
+                for _ in range(rng.randint(0, 4))
+            ]
+            snap, trig = ingest_tick(
+                prev, batch, kb, retrigger_on_recovery=retrigger, on_error=lambda t, e: None
+            )
+            pairs_before = {(v, s) for v, s in folded.items() if s != 0}
+            for r in batch:
+                if r.measure_point in points and r.value < 3.0:
+                    gauge = points[r.measure_point]
+                    folded[gauge.id] = map_reading(gauge, r.value)
+            pairs = {(v, s) for v, s in folded.items() if s != 0}
+            recovered = {v for v, _ in pairs_before} - {v for v, _ in pairs}
+            expected_tick = tick if batch else (prev.tick if prev else 0)
+            assert snap == EvidenceSnapshot.build(expected_tick, folded)
+            assert trig == bool(pairs - pairs_before or (retrigger and recovered))
+            prev = snap
 
 
 # --- stream grouping -------------------------------------------------------------
