@@ -20,16 +20,13 @@ from typing import IO, Iterable
 from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
-from .engine import CubicGraph, DiagnosisReport, DiagnosisSession, merge_cubic, predict
+from .engine import _MEMO_SIZE, CubicGraph, DiagnosisReport, DiagnosisSession, merge_cubic, predict
 from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import ingest_tick, iter_reading_groups
 
 _JSON_SEPARATORS = (",", ":")
 _ENCODER = json.JSONEncoder(separators=_JSON_SEPARATORS)  # what ``json.dumps`` builds per call
-# Report texts a feed caches, a bound however long it runs; the engine keeps
-# as many rankings.
-_EMIT_CACHE = 16
 _PROBABILITY_FLOOR = 1e-5
 _NO_RECOVERY_RETRIGGER_HELP = "do not re-diagnose when an abnormal variable returns to normal"
 # Layers a ``--dot-dir`` file draws, a bound however long a session runs. The
@@ -74,11 +71,12 @@ def _report_line(report: DiagnosisReport, with_timing: bool, cache: OrderedDict)
     The engine hands back the same hypotheses, abnormal and normal tuples
     whenever it repeats a ranking, so ``cache`` keeps the JSON text of the
     ``hypotheses`` and ``evidence`` members keyed on their identity, least
-    recently used first. An entry holds the tuples it was cut from, so their
-    ids cannot be reused while it lives. A hit renders only the tick, status
-    and timing around it; a miss encodes the whole report once and cuts the
-    members out between the first ``,"hypotheses":`` (the status before it
-    is a JSON string, whose quotes are escaped) and the last ``,"timing_ms":``.
+    recently used first, as many as the engine keeps rankings. An entry holds
+    the tuples it was cut from, so their ids cannot be reused while it lives.
+    A hit renders only the tick, status and timing around it; a miss encodes
+    the whole report once and cuts the members out between the first
+    ``,"hypotheses":`` (the status before it is a JSON string, whose quotes
+    are escaped) and the last ``,"timing_ms":``.
     """
     h = report.hypotheses
     entry = cache.get(id(h))
@@ -91,7 +89,7 @@ def _report_line(report: DiagnosisReport, with_timing: bool, cache: OrderedDict)
         text = _ENCODER.encode(_report_json(report, with_timing))
         members = text[text.index(',"hypotheses":') + 1 : text.rindex(',"timing_ms":')]
         cache[id(h)] = (h, report.abnormal, report.normal, members)
-        if len(cache) > _EMIT_CACHE:
+        if len(cache) > _MEMO_SIZE:
             cache.popitem(last=False)
         return text + "\n"
     cache.move_to_end(id(h))

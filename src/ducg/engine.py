@@ -23,23 +23,19 @@ then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session keeps one record per alive root, with a memo keyed on the
-snapshot's assignments. A snapshot that matches one of the root's
-``_MEMO_PER_ROOT`` most recently used keys reuses that slice object as it
-is, its ζ and its joints, with no ``simplify``, ``check_valid`` or
-``evaluate``; so a chattering channel is sliced and evaluated once per
-evidence pattern. Ranking reads only each root's ζ and joints, and a tick
-changes no record until it is ranked.
-
-In front of the per-root memos, a ranking memo keyed on the assignments and
-the alive roots holds the ``_MEMO_PER_ROOT`` most recently used rankings:
-hypotheses, ranked roots, status and evidence, as tuples. A repeat of a
-ranked evidence over the same hypothesis space is a lookup: it commits what
-the full path would (the ranked roots stay, each moves its memo entry to the
-end and takes a layer holding its stored slice) and builds no hypothesis.
-It is used only while every ranked root still holds its memo entry for the
-evidence; otherwise the tick takes the full path. The report reuses the
-stored tuples, so equal rankings are identical objects.
+A session keeps one record per alive root (its subgraph and latest layer)
+and one memo, keyed on the snapshot's assignments, of its ``_MEMO_SIZE``
+most recently used evidence patterns. An entry holds the ranking's tuples
+(hypotheses, status and evidence) and, for each ranked root, the slice
+``simplify`` built, its ζ and its joints. Equal keys are the same evidence,
+so a stored slice is the one ``simplify`` would build again, and a
+chattering channel is sliced and evaluated once per pattern. When a pattern
+comes back and every root it ranked is still alive, the tick is a lookup;
+when some have left since, the rest are ranked again from their stored ζ
+and joints. Either way nothing is sliced or evaluated, and each ranked root
+takes a layer holding its stored slice as it is. A lookup's report reuses
+the stored tuples, so equal rankings are identical objects. A tick changes
+no record until it is ranked.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -612,24 +608,19 @@ class DiagnosisReport:
     timing_ms: float
 
 
-# Evaluations kept per root, a bound however long a session runs. The value is
-# chosen, not tuned: long-stream cycles through 2 evidence patterns per root,
-# and any cap of 2 or more gives it the same hit share.
-_MEMO_PER_ROOT = 16
+# Evidence patterns a session keeps, a bound however long it runs. The value is
+# chosen, not tuned: long-stream cycles through 2 evidence patterns, and any
+# cap of 2 or more gives it the same hit share.
+_MEMO_SIZE = 16
 
 
 @dataclass
 class _Root:
-    """One alive root: its subgraph, its latest layer (None until the root
-    explains a tick) and its memo. The memo maps a snapshot's assignments, a
-    frozenset of ``(var, state)`` pairs, to the valid slice ``simplify``
-    built for it and that slice's ``evaluate`` result, least recently used
-    first. Equal keys are the same evidence, so a stored slice is the one
-    ``simplify`` would build again."""
+    """One alive root: its subgraph and its latest layer (None until the root
+    explains a tick)."""
 
     sub: SubDUCG
     cubic: Optional[CubicGraph] = None
-    memo: OrderedDict = field(default_factory=OrderedDict)
 
 
 class DiagnosisSession:
@@ -637,9 +628,9 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good, along with its slices and memoised evaluations. ``cubic(root)`` is
-    the root's latest layer, a one-layer cubic graph, so memory stays flat
-    however long the session runs.
+    good. ``cubic(root)`` is the root's latest layer, a one-layer cubic
+    graph, and the memo holds at most ``_MEMO_SIZE`` evidence patterns, so
+    memory stays flat however long the session runs.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -649,9 +640,9 @@ class DiagnosisSession:
         self.kb = kb
         # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
         self._roots: dict[int, _Root] = {s.root: _Root(s) for s in decompose(kb)}
-        # (evidence key, alive roots) -> (hypotheses, ranked roots, status,
+        # evidence key -> ({ranked root: (slice, ζ, joints)}, hypotheses, status,
         # abnormal, normal), least recently used first
-        self._rankings: OrderedDict = OrderedDict()
+        self._memo: OrderedDict = OrderedDict()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
@@ -664,66 +655,49 @@ class DiagnosisSession:
     def diagnose_tick(self, ev: EvidenceSnapshot) -> DiagnosisReport:
         """Explain one triggering snapshot; shrink the hypothesis space."""
         started = time.perf_counter()
-        # Built and hashed once for every root. A stored key holds an abnormal
-        # state, so evidence with none always misses and ``simplify`` raises.
+        # ``simplify`` raises on evidence without an abnormal state, so such a
+        # key is stored only once no root is alive and a hit hides no error.
         key = frozenset(ev.assignments.items())
-        # Keyed on the alive roots too: a stored ranking was then made over
-        # this very hypothesis space, so every root it ranked is still alive.
-        ranking_key = (key, tuple(self._roots))
-        ranking = self._rankings.get(ranking_key)
-        if ranking is not None and all(key in self._roots[r].memo for r in ranking[1]):
-            # commit what the full path would: the same roots, memo order and layers
-            self._rankings.move_to_end(ranking_key)
-            self._roots = {r: self._roots[r] for r in ranking[1]}
-            for record in self._roots.values():
-                record.memo.move_to_end(key)
-                record.cubic = merge_cubic(None, record.memo[key][0], ev.tick)
-        else:
-            ranking = self._rank(ev, key)
-            self._rankings[ranking_key] = ranking
-            if len(self._rankings) > _MEMO_PER_ROOT:
-                self._rankings.popitem(last=False)
-        hypotheses, _, status, abnormal, normal = ranking
+        entry = self._memo.get(key)
+        # On a hit the alive roots are among those the entry ranked, as the
+        # hypothesis space only shrinks, and a root it left out added nothing
+        # to ξ (its slice is invalid or ζ = 0: a normal root leaves every
+        # observation normal, so ζ > 0 gives an abnormal joint > 0). If none
+        # has left since, the entry is this tick's ranking as it is.
+        if entry is None or len(entry[0]) != len(self._roots):
+            if entry is None:
+                evaluated = {}  # no record changes until ranked
+                for root, record in self._roots.items():
+                    s = simplify(record.sub, ev)
+                    if s.valid and check_valid(s, ev):
+                        evaluated[root] = (s, *evaluate(s, self.kb))
+            else:  # some have left: rank the rest from their stored triples
+                evaluated = {root: entry[0][root] for root in self._roots}
+            hypotheses = tuple(rank_hypotheses([(root, *t[1:]) for root, t in evaluated.items()]))
+            ranked_roots = {h.root for h in hypotheses}
+            if len(ranked_roots) == 1:
+                status = "diagnosed"
+            elif ranked_roots:
+                status = "ambiguous"
+            else:
+                status = "unexplained"
+            entry = (
+                {root: t for root, t in evaluated.items() if root in ranked_roots},
+                hypotheses,
+                status,
+                tuple(ev.abnormal_items()),
+                tuple(ev.normal_items()),
+            )
+        self._memo.pop(key, None)  # most recently used last
+        self._memo[key] = entry
+        if len(self._memo) > _MEMO_SIZE:
+            self._memo.popitem(last=False)
+        ranked, hypotheses, status, abnormal, normal = entry
+        self._roots = {root: self._roots[root] for root in ranked}
+        for root, record in self._roots.items():
+            record.cubic = merge_cubic(None, ranked[root][0], ev.tick)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)
-
-    def _rank(self, ev: EvidenceSnapshot, key: frozenset) -> tuple:
-        """Evaluate every alive root on ``ev`` (through its memo), rank them and
-        commit the ranked ones; return the ranking memo's entry."""
-        evaluated = []  # (root, record, memo entry); no record changes until ranked
-        for root, record in self._roots.items():
-            entry = record.memo.get(key)
-            if entry is None:
-                s = simplify(record.sub, ev)
-                if not (s.valid and check_valid(s, ev)):
-                    continue
-                entry = (s, *evaluate(s, self.kb))
-            evaluated.append((root, record, entry))
-
-        hypotheses = rank_hypotheses([(root, *entry[1:]) for root, _, entry in evaluated])
-        ranked_roots = {h.root for h in hypotheses}
-        self._roots = {r: record for r, record in self._roots.items() if r in ranked_roots}
-        for root, record, entry in evaluated:
-            if root in ranked_roots:
-                record.memo.pop(key, None)  # most recently used last
-                record.memo[key] = entry
-                if len(record.memo) > _MEMO_PER_ROOT:
-                    record.memo.popitem(last=False)
-                record.cubic = merge_cubic(None, entry[0], ev.tick)
-
-        if len(ranked_roots) == 1:
-            status = "diagnosed"
-        elif ranked_roots:
-            status = "ambiguous"
-        else:
-            status = "unexplained"
-        return (
-            tuple(hypotheses),
-            tuple(self._roots),
-            status,
-            tuple(ev.abnormal_items()),
-            tuple(ev.normal_items()),
-        )
 
 
 # --- prediction --------------------------------------------------------------------

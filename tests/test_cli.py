@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducg.cli import _EMIT_CACHE, _JSON_SEPARATORS, _report_json, _report_line
-from ducg.engine import DiagnosisReport, HypothesisResult
+from ducg.cli import _JSON_SEPARATORS, _report_json, _report_line
+from ducg.engine import _MEMO_SIZE, DiagnosisReport, HypothesisResult
 
 from conftest import run_cli
 
@@ -438,18 +438,18 @@ def test_report_line_equals_json_dumps(reports, with_timing, later):
         copies = {"abnormal": tuple(list(report.abnormal)), "normal": tuple(list(report.normal))}
         check(replace(report, **copies))
         check(replace(report, abnormal=reports[0].abnormal))
-    assert len(cache) <= _EMIT_CACHE
+    assert len(cache) <= _MEMO_SIZE
 
 
 def test_report_line_cache_is_bounded_least_recently_used_first():
     made = [
         DiagnosisReport(t, "diagnosed", (HypothesisResult(t, 1, 0.5, 0.5, 1.0, 1.0),), ((t, 1),), (), 0.2)
-        for t in range(_EMIT_CACHE + 1)
+        for t in range(_MEMO_SIZE + 1)
     ]
     cache = OrderedDict()
     for report in made:
         _report_line(report, True, cache)
-    assert len(cache) == _EMIT_CACHE and id(made[0].hypotheses) not in cache
+    assert len(cache) == _MEMO_SIZE and id(made[0].hypotheses) not in cache
     _report_line(made[1], True, cache)  # a hit makes it the most recently used
     assert next(reversed(cache)) == id(made[1].hypotheses)
     assert _report_line(made[0], False, cache) == json.dumps(

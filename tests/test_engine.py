@@ -603,7 +603,7 @@ def _report_fields(reports):
 
 def _fresh_reports(kb, snapshots):
     """Each tick diagnosed by a new session that holds only the roots alive
-    before it, so neither memo can answer: every report field but the timing."""
+    before it, so the memo cannot answer: every report field but the timing."""
     alive, reports = None, []
     for ev in snapshots:
         fresh = DiagnosisSession(kb)
@@ -660,25 +660,31 @@ def test_a_full_hit_tick_does_no_inference(tworoot_kb, monkeypatch):
     assert ([r.hypotheses for r in reports], _report_fields(reports)) == expected
 
 
-def test_a_ranked_root_that_lost_its_memo_entry_takes_the_full_path(tworoot_kb, monkeypatch):
-    """A stored ranking is used only while every ranked root holds its memo
-    entry for the evidence. The ranking memo and each root's memo evict in
-    step, so a stream never parts them; here one entry is dropped by hand."""
-    snapshots = [snapshot(t, (T1, T2)[t % 2]) for t in range(6)]
+def test_a_pattern_that_dropped_roots_is_a_lookup_when_it_comes_back(tworoot_kb, monkeypatch):
+    """T3 ranks only B2 of the two alive roots. When it comes back, after T2,
+    every root it ranked is still alive: the repeat is a lookup, with no
+    slicing, check, evaluation or ranking, and a fresh session's report."""
+    snapshots = [snapshot(1, T1), snapshot(2, T3), snapshot(3, T2), snapshot(4, T3)]
+    expected = _fresh_reports(tworoot_kb, snapshots)
     session = DiagnosisSession(tworoot_kb)
-    reports = [session.diagnose_tick(ev) for ev in snapshots[:4]]
-    del session._roots[2].memo[frozenset(T1.items())]
-    calls = _counting(monkeypatch, "simplify")
-    reports += [session.diagnose_tick(ev) for ev in snapshots[4:]]
-    assert calls == [2]  # root 1 still hits its own memo
-    assert _report_fields(reports) == _fresh_reports(tworoot_kb, snapshots)
-    assert all(session.cubic(r).tick == 5 for r in (1, 2))
+    reports = [session.diagnose_tick(ev) for ev in snapshots[:3]]
+    assert [r.status for r in reports] == ["ambiguous", "diagnosed", "diagnosed"]
+
+    def no_inference(*args):
+        raise AssertionError("a repeat over the roots it ranked ran inference")
+
+    for name in ("simplify", "check_valid", "evaluate", "rank_hypotheses"):
+        monkeypatch.setattr(ducg.engine, name, no_inference)
+    reports.append(session.diagnose_tick(snapshots[3]))
+    assert reports[3].hypotheses is reports[1].hypotheses
+    assert session.cubic(2).tick == 4
+    assert _report_fields(reports) == expected
 
 
 def test_a_pattern_evicted_from_both_memos_is_ranked_again(monkeypatch):
-    """A stream cycling through one more pattern than the memos hold evicts
+    """A stream cycling through one more pattern than the memo holds evicts
     each before it repeats: every tick takes the full path, with equal reports."""
-    cap = ducg.engine._MEMO_PER_ROOT
+    cap = ducg.engine._MEMO_SIZE
     observed = tuple(range(2, 2 + (cap + 1).bit_length()))
     kb = _inline_kb([CausalArc(x, 1, 1.0, {1: {1: 0.6}}) for x in observed], extra_x=observed)
     patterns = [{x: (n >> i) & 1 for i, x in enumerate(observed)} for n in range(1, cap + 2)]
@@ -688,7 +694,7 @@ def test_a_pattern_evicted_from_both_memos_is_ranked_again(monkeypatch):
     reports = [session.diagnose_tick(ev) for ev in snapshots]
     assert len(calls) == len(snapshots)
     assert _report_fields(reports) == _fresh_reports(kb, snapshots)
-    assert len(session._rankings) == len(session._roots[1].memo) == cap
+    assert len(session._memo) == cap
 
 
 def test_warm_memo_still_drops_a_root_that_misses_an_abnormal_observation(tworoot_kb):
@@ -726,14 +732,13 @@ def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):
 
 def test_a_tick_that_raises_mid_evaluation_commits_nothing(tworoot_kb, monkeypatch):
     """Evaluating the second root of a missed tick raises: no root keeps a
-    new cubic graph or memo entry, and the hypothesis space stays as it was."""
+    new cubic graph, the memo keeps its keys and entries, and the hypothesis
+    space stays as it was."""
     session = DiagnosisSession(tworoot_kb)
     session.diagnose_tick(snapshot(1, T1))
-    before = {
-        r: (session.cubic(r), list(record.memo.items()))
-        for r, record in session._roots.items()
-    }
-    assert set(before) == {1, 2}
+    before = {r: session.cubic(r) for r in session.alive_roots}
+    memo = list(session._memo.items())
+    assert set(before) == {1, 2} and [key for key, _ in memo] == [frozenset(T1.items())]
 
     real, calls = ducg.engine.evaluate, []
 
@@ -748,9 +753,9 @@ def test_a_tick_that_raises_mid_evaluation_commits_nothing(tworoot_kb, monkeypat
         session.diagnose_tick(snapshot(2, T2))
     assert calls == [1, 2]
     assert session.alive_roots == (1, 2)
-    for r, (cubic, memo) in before.items():
+    for r, cubic in before.items():
         assert session.cubic(r) is cubic
-        assert list(session._roots[r].memo.items()) == memo
+    assert list(session._memo.items()) == memo
 
 
 def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot_kb):
@@ -764,8 +769,8 @@ def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot
 @pytest.mark.parametrize("with_default_cause", [False, True])
 def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, monkeypatch):
     """200 random KBs, each fed 12 ticks drawn from three evidence patterns.
-    Some patterns repeat after a root they ranked has left, so the ranking
-    memo must not answer for a hypothesis space it did not rank."""
+    Some patterns repeat after a root they ranked has left, so the memo's
+    entry must be ranked again over the roots still alive."""
     calls = _counting(monkeypatch)
     memoised = uncached = repeats_after_a_ranked_root_left = 0
     for seed in range(200):
@@ -791,6 +796,28 @@ def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, 
     assert repeats_after_a_ranked_root_left >= 20
 
 
+@pytest.mark.parametrize("make_kb", [random_kb, random_cyclic_kb])
+@pytest.mark.parametrize("with_default_cause", [False, True])
+def test_a_valid_slice_of_positive_zeta_has_an_abnormal_joint(make_kb, with_default_cause):
+    """What lets the memo reuse a ranking once roots have left: a root left
+    out of a ranking added nothing to ξ. A valid slice with ζ > 0 always has
+    a hypothesis, since a normal root leaves every observation normal."""
+    positive = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        kb = make_kb(rng, with_default_cause=with_default_cause)
+        ev = random_evidence(rng, kb)
+        for sub in decompose(kb):
+            s = simplify(sub, ev)
+            if not (s.valid and check_valid(s, ev)):
+                continue
+            zeta, joints = evaluate(s, kb)
+            if zeta > 0.0:
+                positive += 1
+                assert any(joint > 0.0 for joint in joints.values()), (seed, sub.root)
+    assert positive >= 250  # 281 to 451 of them, by variant
+
+
 def test_memo_misses_when_an_out_of_scope_condition_flips(monkeypatch):
     """X3 lies outside B1's graph, so B1's evidence states stay {2: 1}; but
     observing X3 normal deletes the arc it conditions, and ζ changes."""
@@ -812,7 +839,7 @@ def test_memo_misses_when_an_out_of_scope_condition_flips(monkeypatch):
 
 
 def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
-    cap = ducg.engine._MEMO_PER_ROOT
+    cap = ducg.engine._MEMO_SIZE
     observed = tuple(range(2, 2 + (cap + 1).bit_length()))
     kb = _inline_kb([CausalArc(x, 1, 1.0, {1: {1: 0.6}}) for x in observed], extra_x=observed)
     patterns = [
@@ -834,17 +861,25 @@ def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
     assert len(calls) == cap + 1
     feed(1)
     assert len(calls) == cap + 2
-    assert len(session._roots[1].memo) == cap
+    assert len(session._memo) == cap
+    assert list(session._memo)[-2:] == [frozenset(patterns[i].items()) for i in (0, 1)]
 
 
-def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb):
+def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb, monkeypatch):
+    """B1 leaves on T3; T1's entry keeps it until T1 comes back, and that hit
+    ranks B2 alone from its stored ζ and joints and drops B1 from the entry."""
+    key = frozenset(T1.items())
     session = DiagnosisSession(tworoot_kb)
     session.diagnose_tick(snapshot(1, T1))
-    assert set(session._roots) == {1, 2}
-    assert all(len(record.memo) == 1 for record in session._roots.values())
+    assert set(session._roots) == {1, 2} and tuple(session._memo[key][0]) == (1, 2)
     session.diagnose_tick(snapshot(2, T3))
     assert session.alive_roots == (2,)
-    assert set(session._roots) == {2}
+    assert set(session._roots) == {2} and tuple(session._memo[key][0]) == (1, 2)
+    calls = {name: _counting(monkeypatch, name) for name in ("simplify", "check_valid", "evaluate")}
+    report = session.diagnose_tick(snapshot(3, T1))
+    assert calls == dict.fromkeys(calls, [])
+    assert {h.root for h in report.hypotheses} == {2}
+    assert tuple(session._memo[key][0]) == (2,)
 
 
 def test_long_session_memory_is_bounded(tworoot_kb):

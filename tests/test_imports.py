@@ -1,8 +1,10 @@
 """Every module-level import in ``src/ducg`` is used by its module, and so is
 every module-level private name: a ``_``-prefixed function, class or constant
-that nothing reads is left over from a deletion.
+that nothing reads is left over from a deletion. So is a ``_``-prefixed
+attribute that the package stores (``self._name = …``) and never reads.
 
-``__init__.py`` is left out: its imports are the package's re-exports.
+``__init__.py`` is left out of the per-module checks: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -11,10 +13,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "ducg").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "ducg").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,6 +56,20 @@ def unused_private_names(source: str) -> list[str]:
     return [name for name in defined if loads[name] <= 0]
 
 
+def unread_private_attributes(sources: list[str]) -> list[str]:
+    """``_``-prefixed attributes that some source stores and none reads, an
+    attribute read anywhere counting for every object."""
+    stored, loaded = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr):
+                if isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+                elif isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    return sorted(stored - loaded)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -80,3 +94,23 @@ def test_unused_private_name_is_found():
         "def public():\n    return _used()\n"
     )
     assert unused_private_names(source) == ["_CAP", "_walk"]
+
+
+def test_package_reads_every_private_attribute():
+    assert unread_private_attributes([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def test_unread_private_attribute_is_found():
+    session = (
+        "from collections import OrderedDict\n\n"
+        "class Session:\n"
+        "    def __init__(self):\n"
+        "        self._roots = {}\n"
+        "        self._rankings = OrderedDict()\n"
+        "        self._ticks = 0\n\n"
+        "    def tick(self):\n"
+        "        self._ticks += 1\n"
+        "        return self._roots\n"
+    )
+    reader = "def cache_of(s):\n    s._cache = {}\n    return s._cache\n"
+    assert unread_private_attributes([session, reader]) == ["_rankings", "_ticks"]
