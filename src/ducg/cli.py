@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
@@ -20,7 +20,7 @@ from typing import IO, Iterable
 from . import __version__
 from .algebra import RootLiteral
 from .dot import export_dot
-from .engine import _MEMO_SIZE, CubicGraph, DiagnosisReport, DiagnosisSession, merge_cubic, predict
+from .engine import _MEMO_SIZE, CubicGraph, DiagnosisReport, DiagnosisSession, predict
 from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import ingest_tick, iter_reading_groups
@@ -72,11 +72,8 @@ def _report_line(report: DiagnosisReport, with_timing: bool, cache: OrderedDict)
     whenever it repeats a ranking, so ``cache`` keeps the JSON text of the
     ``hypotheses`` and ``evidence`` members keyed on their identity, least
     recently used first, as many as the engine keeps rankings. An entry holds
-    the tuples it was cut from, so their ids cannot be reused while it lives.
-    A hit renders only the tick, status and timing around it; a miss encodes
-    the whole report once and cuts the members out between the first
-    ``,"hypotheses":`` (the status before it is a JSON string, whose quotes
-    are escaped) and the last ``,"timing_ms":``.
+    the tuples it was encoded from, so their ids cannot be reused while it
+    lives. Every line renders the tick, status and timing around it.
     """
     h = report.hypotheses
     entry = cache.get(id(h))
@@ -86,13 +83,15 @@ def _report_line(report: DiagnosisReport, with_timing: bool, cache: OrderedDict)
         or entry[1] is not report.abnormal
         or entry[2] is not report.normal
     ):
-        text = _ENCODER.encode(_report_json(report, with_timing))
-        members = text[text.index(',"hypotheses":') + 1 : text.rindex(',"timing_ms":')]
-        cache[id(h)] = (h, report.abnormal, report.normal, members)
+        doc = _report_json(report, with_timing)
+        members = _ENCODER.encode(
+            {"hypotheses": doc["hypotheses"], "evidence": doc["evidence"]}
+        )[1:-1]
+        entry = cache[id(h)] = (h, report.abnormal, report.normal, members)
         if len(cache) > _MEMO_SIZE:
             cache.popitem(last=False)
-        return text + "\n"
-    cache.move_to_end(id(h))
+    else:
+        cache.move_to_end(id(h))
     timing = round(report.timing_ms, 3) if with_timing else 0.0
     timing_text = repr(timing) if isfinite(timing) else _ENCODER.encode(timing)
     status = encode_basestring_ascii(report.status)
@@ -159,7 +158,7 @@ def _run_feed(
     kb = session.kb
     prev = None
     exit_code = 0
-    drawn: dict[int, tuple[int, CubicGraph]] = {}  # root -> (layers so far, last ones)
+    drawn: dict[int, tuple[int, deque[CubicGraph]]] = {}  # root -> (layers so far, last ones)
     members: OrderedDict = OrderedDict()  # ``_report_line``'s cache, one per feed
 
     def warn_line(line_no: int, exc: Exception) -> None:
@@ -180,13 +179,9 @@ def _run_feed(
             if dot_dir is not None:
                 extended = {}  # alive roots only: a root that left is dropped
                 for root in session.alive_roots:
-                    count, cubic = drawn.get(root, (0, None))
-                    if count >= _DOT_LAYERS:  # rebuild without the oldest layer
-                        kept, cubic = cubic.layers[1:], None
-                        for layer in kept:
-                            cubic = merge_cubic(cubic, layer.latest, layer.tick)
-                    latest = session.cubic(root)
-                    extended[root] = (count + 1, merge_cubic(cubic, latest.latest, latest.tick))
+                    count, layers = drawn.get(root) or (0, deque(maxlen=_DOT_LAYERS))
+                    layers.append(session.cubic(root))
+                    extended[root] = (count + 1, layers)
                 drawn = extended
                 _write_dots(drawn, kb, dot_dir)
             if report.status == "unexplained":
@@ -205,13 +200,13 @@ def _run_feed(
 
 
 def _write_dots(
-    drawn: dict[int, tuple[int, CubicGraph]], kb: KnowledgeBase, dot_dir: str
+    drawn: dict[int, tuple[int, deque[CubicGraph]]], kb: KnowledgeBase, dot_dir: str
 ) -> None:
     directory = Path(dot_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for root, (count, cubic) in drawn.items():
+    for root, (count, layers) in drawn.items():
         name = f"cubic_B{root}_t{count}.dot"
-        (directory / name).write_text(export_dot(cubic, kb), encoding="utf-8")
+        (directory / name).write_text(export_dot(layers, kb), encoding="utf-8")
 
 
 # --- subcommands ------------------------------------------------------------------

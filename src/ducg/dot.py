@@ -7,6 +7,9 @@ Abnormal-evidenced nodes are filled. Output is deterministic.
 
 from __future__ import annotations
 
+from itertools import pairwise
+from typing import Sequence
+
 from .engine import CubicGraph
 from .kb import KnowledgeBase
 
@@ -18,13 +21,13 @@ def _node_name(ordinal: int, var: int) -> str:
     return f"t{ordinal}_v{var}"
 
 
-def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
+def export_dot(layers: Sequence[CubicGraph], kb: KnowledgeBase) -> str:
+    """Draw one root's ``layers``, oldest first; the root is the last one's."""
     lines: list[str] = [
-        f'digraph "cubic_B{cubic.root}" {{',
+        f'digraph "cubic_B{layers[-1].root}" {{',
         "  rankdir=LR;",
         '  node [fontname="Helvetica"];',
     ]
-    layers = cubic.layers
     for ordinal, layer in enumerate(layers, start=1):
         s = layer.latest
         lines.append(f"  subgraph cluster_t{ordinal} {{")
@@ -48,7 +51,7 @@ def export_dot(cubic: CubicGraph, kb: KnowledgeBase) -> str:
                 f'"{_node_name(ordinal, arc.child)}";'
             )
         lines.append("  }")
-    for ordinal, (a, b) in enumerate(zip(layers, layers[1:]), start=1):
+    for ordinal, (a, b) in enumerate(pairwise(layers), start=1):
         for var_id in sorted(a.latest.variables & b.latest.variables):
             lines.append(
                 f'  "{_node_name(ordinal, var_id)}" -> "{_node_name(ordinal + 1, var_id)}" '

@@ -1,10 +1,10 @@
 """Per-tick causal inference over time-layered fault graphs.
 
-A root's *cubic* graph is a persistent chain of time layers, each a tick and
-the root's simplified slice for it, appended in O(1) by ``merge_cubic``. A
-session holds only each alive root's latest layer, so its memory stays flat
-however long it runs; earlier layers are output, and a caller that draws
-them (the CLI's ``--dot-dir``) chains them itself. A slice holds only what
+A root's *cubic* graph is a sequence of time layers, each a tick and the
+root's simplified slice for it, built by ``merge_cubic``. A session holds
+only each alive root's latest layer, so its memory stays flat however long
+it runs; earlier layers are output, and a caller that draws them (the CLI's
+``--dot-dir``) keeps the ones it draws. A slice holds only what
 its evidence selects (no tick), so it is a function of the subgraph and the
 evidence; validity, the evaluators and ranking read one ``SliceGraph``,
 never the cubic graph. Each triggering snapshot is explained on the latest
@@ -55,7 +55,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from math import prod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional
@@ -107,30 +107,19 @@ class SliceGraph:
         return not self.unexplained
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CubicGraph:
-    """One root's time-layered graph: its latest layer (a tick and its slice)
-    and the graph it extends, so appending copies nothing. ``==`` is
-    identity and never walks the chain."""
+    """One time layer of a root's cubic graph: a tick and the root's slice
+    for it."""
 
     root: int
     tick: int
     latest: SliceGraph
-    previous: Optional[CubicGraph] = field(default=None, repr=False)
-
-    @property
-    def layers(self) -> tuple[CubicGraph, ...]:
-        """Every layer, oldest first."""
-        node, stack = self, []
-        while node is not None:
-            stack.append(node)
-            node = node.previous
-        return tuple(reversed(stack))
 
     @property
     def slices(self) -> tuple[SliceGraph, ...]:
-        """Every layer's slice, oldest first."""
-        return tuple(layer.latest for layer in self.layers)
+        """The layer's slice, as a one-slice sequence."""
+        return (self.latest,)
 
 
 def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
@@ -218,15 +207,10 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
     )
 
 
-def merge_cubic(prev: Optional[CubicGraph], new_slice: SliceGraph, tick: int) -> CubicGraph:
-    """Append ``new_slice`` as the layer of ``tick`` to a root's cubic graph in
-    O(1); earlier layers are shared."""
-    if prev is not None and prev.root != new_slice.root:
-        raise RootMismatchError(
-            f"cannot merge slice of root {new_slice.root} into cubic graph of "
-            f"root {prev.root}"
-        )
-    return CubicGraph(root=new_slice.root, tick=tick, latest=new_slice, previous=prev)
+# Kept for ``perfbench/trace.py``, which hooks this and reads ``slices`` (ROADMAP item 2).
+def merge_cubic(new_slice: SliceGraph, tick: int) -> CubicGraph:
+    """The layer of ``tick`` holding ``new_slice``."""
+    return CubicGraph(root=new_slice.root, tick=tick, latest=new_slice)
 
 
 def check_valid(g: SliceGraph, ev: EvidenceSnapshot) -> bool:
@@ -628,9 +612,9 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good. ``cubic(root)`` is the root's latest layer, a one-layer cubic
-    graph, and the memo holds at most ``_MEMO_SIZE`` evidence patterns, so
-    memory stays flat however long the session runs.
+    good. ``cubic(root)`` is the root's latest layer, the only one held,
+    and the memo holds at most ``_MEMO_SIZE`` evidence patterns, so memory
+    stays flat however long the session runs.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -695,7 +679,7 @@ class DiagnosisSession:
         ranked, hypotheses, status, abnormal, normal = entry
         self._roots = {root: self._roots[root] for root in ranked}
         for root, record in self._roots.items():
-            record.cubic = merge_cubic(None, ranked[root][0], ev.tick)
+            record.cubic = merge_cubic(ranked[root][0], ev.tick)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)
 

@@ -320,19 +320,23 @@ def _merge_arcs(
 
 def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
     """``kind(value)``, the one conversion every KB number goes through. A value
-    that ``kind`` rejects raises :class:`KBSyntaxError` naming ``where`` and
-    ``what``; for ``int`` that includes ±inf and NaN, which JSON reads
-    ``1e400`` as, a bool and a number with a fraction (``1.0`` and the
-    string keys of a JSON object are integers)."""
+    that ``kind`` rejects, a bool, and a string unless ``kind`` is ``int``
+    (the keys of a JSON object are strings) raise :class:`KBSyntaxError`
+    naming ``where`` and ``what``; for ``int`` so do ±inf and NaN, which JSON
+    reads ``1e400`` as, and a number with a fraction (``1.0`` is an
+    integer)."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
     else:
         # ``int(i) is i`` and ``float(x) is x``: a well-typed number costs one test
-        if number is value or kind is not int or value.__class__ is str or (
-            number == value and value.__class__ is not bool
-        ):
+        if number is value:
+            return number
+        if value.__class__ is str:
+            if kind is int:
+                return number
+        elif value.__class__ is not bool and (kind is not int or number == value):
             return number
     noun = "an integer" if kind is int else "a number"
     raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}")
@@ -417,7 +421,11 @@ def _parse_variable(raw: Any, index: int) -> Variable:
         seen.add(sid)
         name = raw_state.get("name", "normal" if sid == 0 else f"state {sid}")
         severity = raw_state.get("severity", "normal" if sid == 0 else "abnormal")
-        states.append(StateDef(sid, str(name), str(severity), intervals.pop(sid, None)))
+        if not isinstance(name, str):
+            raise KBSyntaxError(f"{where}: state {sid} name must be a string")
+        if not isinstance(severity, str):
+            raise KBSyntaxError(f"{where}: state {sid} severity must be a string")
+        states.append(StateDef(sid, name, severity, intervals.pop(sid, None)))
     if intervals:
         extra = sorted(intervals)
         raise UnknownReferenceError(
@@ -460,11 +468,7 @@ def _parse_intervals(raw: Any, where: str) -> dict[int, tuple[float, float]]:
         raise KBSyntaxError(f"{where}: intervals must map state id to [lower, upper]")
     out: dict[int, tuple[float, float]] = {}
     for key, bounds in raw.items():
-        if (
-            not isinstance(bounds, (list, tuple))
-            or len(bounds) != 2
-            or not all(isinstance(b, (int, float)) for b in bounds)
-        ):
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
             raise KBSyntaxError(f"{where}: interval for state {key} must be a pair")
         sid = _number(key, where, "intervals key")
         out[sid] = (_number(bounds[0], where, "interval bound", float),

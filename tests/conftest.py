@@ -30,7 +30,6 @@ from ducg import (
     DiagnosisSession,
     ingest_tick,
     iter_reading_groups,
-    merge_cubic,
     parse_kb,
 )
 
@@ -57,17 +56,18 @@ def run_cli(*argv, stdin_text=None, cwd=None):
 
 
 def extend_layers(layered, session):
-    """Each alive root's layered graph, extended by its latest layer in
-    ``session`` with ``merge_cubic``, as ``ducg --dot-dir`` does (unbounded
-    here); a root that left the hypothesis space is dropped."""
-    latest = {root: session.cubic(root) for root in session.alive_roots}
-    return {root: merge_cubic(layered.get(root), c.latest, c.tick) for root, c in latest.items()}
+    """Each alive root's tuple of layers, oldest first, extended by its latest
+    layer in ``session``, as ``ducg --dot-dir`` does (unbounded here); a root
+    that left the hypothesis space is dropped."""
+    return {
+        root: layered.get(root, ()) + (session.cubic(root),) for root in session.alive_roots
+    }
 
 
 def run_scenario(kb, csv_path, **ingest_kwargs):
     """Replay a signal file through a fresh session. Return the triggered
-    reports, the session, and each alive root's layered graph of every tick
-    it explained, which DOT export and slice tests read."""
+    reports, the session, and each alive root's layers of every tick it
+    explained, which DOT export and slice tests read."""
     session = DiagnosisSession(kb)
     reports, layered = [], {}
     prev = None

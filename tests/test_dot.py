@@ -2,7 +2,6 @@
 
 import io
 import json
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,25 +13,25 @@ from conftest import extend_layers, run_cli, run_scenario
 DATA = Path(__file__).parent / "data"
 
 
-def final_cubic(layered):
-    ((root, cubic),) = layered.items()
-    return cubic, root
+def final_layers(layered):
+    ((root, layers),) = layered.items()
+    return layers, root
 
 
 def test_dot_one_cluster_per_slice(tworoot_kb, tworoot_signals):
     _, _, layered = run_scenario(tworoot_kb, tworoot_signals)
-    cubic, root = final_cubic(layered)
-    dot = export_dot(cubic, tworoot_kb)
+    layers, root = final_layers(layered)
+    dot = export_dot(layers, tworoot_kb)
     assert dot.startswith(f'digraph "cubic_B{root}" {{')
     assert dot.count("subgraph cluster_t") == 3
-    for ordinal, layer in enumerate(cubic.layers, start=1):
+    for ordinal, layer in enumerate(layers, start=1):
         assert f'label="t_{ordinal} (tick {layer.tick})";' in dot
 
 
 def test_dot_marks_abnormal_nodes_and_linkage(tworoot_kb, tworoot_signals):
     _, _, layered = run_scenario(tworoot_kb, tworoot_signals)
-    cubic, _ = final_cubic(layered)
-    dot = export_dot(cubic, tworoot_kb)
+    layers, _ = final_layers(layered)
+    dot = export_dot(layers, tworoot_kb)
     # the root is a box, observed deviations are ellipses
     assert '"t1_v2" [label="B2", shape=box];' in dot
     assert 'fillcolor="#f4cccc"' in dot
@@ -46,9 +45,9 @@ def test_dot_marks_abnormal_nodes_and_linkage(tworoot_kb, tworoot_signals):
 
 def test_dot_is_deterministic(tworoot_kb, tworoot_signals):
     _, _, layered = run_scenario(tworoot_kb, tworoot_signals)
-    cubic, _ = final_cubic(layered)
-    first = export_dot(cubic, tworoot_kb)
-    assert all(export_dot(cubic, tworoot_kb) == first for _ in range(10))
+    layers, _ = final_layers(layered)
+    first = export_dot(layers, tworoot_kb)
+    assert all(export_dot(layers, tworoot_kb) == first for _ in range(10))
 
 
 def test_dot_renders_single_slice(tworoot_kb):
@@ -56,8 +55,7 @@ def test_dot_renders_single_slice(tworoot_kb):
 
     ev = EvidenceSnapshot.build(14, {3: 0, 5: 1, 6: 0})
     sub = next(s for s in decompose(tworoot_kb) if s.root == 1)
-    cubic = merge_cubic(None, simplify(sub, ev), ev.tick)
-    dot = export_dot(cubic, tworoot_kb)
+    dot = export_dot([merge_cubic(simplify(sub, ev), ev.tick)], tworoot_kb)
     assert dot.count("subgraph cluster_t") == 1
     assert "style=dashed" not in dot
     assert '"t1_v1" -> "t1_v5";' in dot
@@ -74,10 +72,10 @@ def test_dot_links_consecutive_slices_of_one_snapshot(tworoot_kb):
     for _ in range(2):
         session.diagnose_tick(ev)
         layered = extend_layers(layered, session)
-    cubic = layered[2]
-    dot = export_dot(cubic, tworoot_kb)
+    layers = layered[2]
+    dot = export_dot(layers, tworoot_kb)
     dashed = [l for l in dot.splitlines() if "style=dashed" in l]
-    want = sorted(cubic.latest.variables)
+    want = sorted(layers[-1].latest.variables)
     assert dashed == [
         f'  "t1_v{v}" -> "t2_v{v}" [style=dashed, constraint=false];' for v in want
     ]
@@ -147,14 +145,18 @@ def test_dot_dir_draws_the_last_sixteen_layers(tworoot_kb, tmp_path):
         assert f'label="t_{ordinal} (tick {tick})";' in last
     assert "cluster_t17" not in last
 
-    # every tick triggers, so a root's n-th layer is tick n's
+    # every tick triggers, so a root's n-th layer is tick n's; past 16 a file
+    # draws the last 16 layers of the whole history
     session, layered, prev = DiagnosisSession(tworoot_kb), {}, None
-    for tick, readings in islice(iter_reading_groups(lines), 16):
+    for tick, readings in iter_reading_groups(lines):
         prev, _ = ingest_tick(prev, readings, tworoot_kb)
         session.diagnose_tick(prev)
         layered = extend_layers(layered, session)
-        for root, cubic in layered.items():
-            assert files[f"cubic_B{root}_t{tick}.dot"] == export_dot(cubic, tworoot_kb)
+        for root, layers in layered.items():
+            assert len(layers) == tick
+            want = export_dot(layers[-16:], tworoot_kb)
+            assert files[f"cubic_B{root}_t{tick}.dot"] == want, (root, tick)
+    assert tick == 40
 
 
 def test_dot_escapes_quotes_and_backslashes_in_state_names(tworoot_text):
@@ -168,5 +170,5 @@ def test_dot_escapes_quotes_and_backslashes_in_state_names(tworoot_text):
     kb = parse_kb(json.dumps(doc))
     ev = EvidenceSnapshot.build(14, {3: 0, 5: 1, 6: 0})
     sub = next(s for s in decompose(kb) if s.root == 1)
-    dot = export_dot(merge_cubic(None, simplify(sub, ev), ev.tick), kb)
+    dot = export_dot([merge_cubic(simplify(sub, ev), ev.tick)], kb)
     assert '"t1_v5" [label="X5\\nhi\\"gh\\\\", shape=ellipse' in dot

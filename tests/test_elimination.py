@@ -24,7 +24,7 @@ def valid_slices(kb, ev):
 
 
 def reference(ev, s, kb):
-    return ve_reference.factored_joints(ev, merge_cubic(None, s, ev.tick), kb)
+    return ve_reference.factored_joints(ev, merge_cubic(s, ev.tick), kb)
 
 
 @pytest.mark.parametrize("with_default_cause", [False, True])

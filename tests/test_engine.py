@@ -1,5 +1,6 @@
 """Inference engine: slicing, layered merging, expansion, ranking, prediction."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -191,41 +192,15 @@ def test_slice_validity_matches_the_two_walk_rule(with_default_cause):
 # --- merge / check_valid -----------------------------------------------------------
 
 
-def test_merge_links_shared_variables(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
-    c = merge_cubic(None, simplify(subs[2], snapshot(14, T1)), 14)
-    assert len(c.slices) == 1
-
-    c = merge_cubic(c, simplify(subs[2], snapshot(16, T2)), 16)
-    assert [layer.tick for layer in c.layers] == [14, 16]
-
-    c = merge_cubic(c, simplify(subs[2], snapshot(17, T3)), 17)
-    assert [layer.tick for layer in c.layers] == [14, 16, 17]
-    assert c.tick == 17
-    assert c.latest.states == {4: 1, 5: 1, 6: 1, 7: 1}
-
-
-def test_merge_rejects_foreign_slice(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
-    c = merge_cubic(None, simplify(subs[1], snapshot(14, T1)), 14)
-    with pytest.raises(RootMismatchError):
-        merge_cubic(c, simplify(subs[2], snapshot(16, T2)), 16)
-
-
-def test_merge_builds_a_persistent_chain(tworoot_kb):
-    subs = subs_by_root(tworoot_kb)
-    slices = [simplify(subs[2], snapshot(t, (T1, T3)[t % 2])) for t in range(3000)]
-    c = None
-    for t, s in enumerate(slices):
-        extended = merge_cubic(c, s, t)
-        assert extended.previous is c
-        c = extended
-
-    assert c.slices == tuple(slices)
-    assert [layer.tick for layer in c.layers] == list(range(3000))
-    assert c.latest is slices[-1]
-    assert "previous" not in repr(c)
-    assert c == c and c != merge_cubic(c.previous, c.latest, c.tick)
+def test_a_layer_is_a_tick_and_its_slice(tworoot_kb):
+    s = simplify(subs_by_root(tworoot_kb)[2], snapshot(17, T3))
+    layer = merge_cubic(s, 17)
+    assert [f.name for f in dataclasses.fields(CubicGraph)] == ["root", "tick", "latest"]
+    assert (layer.root, layer.tick) == (2, 17)
+    assert layer.latest is s
+    assert layer.latest.states == {4: 1, 5: 1, 6: 1, 7: 1}
+    assert layer.slices == (s,)
+    assert layer == merge_cubic(s, 17) and layer != merge_cubic(s, 18)
 
 
 def test_a_slice_is_the_same_at_every_tick(tworoot_kb):
@@ -500,7 +475,7 @@ def test_session_golden_scenario(tworoot_kb, tworoot_signals):
     assert session.cubic(1) is None
     assert len(session.cubic(2).slices) == 1  # the session holds the latest layer
     assert list(layered) == [2]
-    assert len(layered[2].slices) == 3
+    assert [layer.tick for layer in layered[2]] == [14, 16, 17]
 
 
 def test_session_hypothesis_space_is_monotone(tworoot_kb, tworoot_signals):
@@ -714,8 +689,8 @@ def test_memo_hits_keep_each_slice_at_its_own_tick(tworoot_kb):
     for t in ticks:
         session.diagnose_tick(snapshot(t, (T1, T2)[t % 2]))
         layered = extend_layers(layered, session)
-    assert [layer.tick for layer in layered[1].layers] == ticks
-    assert [layer.tick for layer in layered[2].layers] == ticks
+    assert [layer.tick for layer in layered[1]] == ticks
+    assert [layer.tick for layer in layered[2]] == ticks
 
 
 def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):

@@ -4,7 +4,7 @@ that nothing reads is left over from a deletion. So is a ``_``-prefixed
 attribute that the package stores (``self._name = …``) and never reads.
 
 ``__init__.py`` is left out of the per-module checks: its imports are the
-package's re-exports.
+package's re-exports, which ``__all__`` must list, each once.
 """
 
 import ast
@@ -15,6 +15,7 @@ import pytest
 
 PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "ducg").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+INIT = PACKAGE[0].with_name("__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -114,3 +115,17 @@ def test_unread_private_attribute_is_found():
     )
     reader = "def cache_of(s):\n    s._cache = {}\n    return s._cache\n"
     assert unread_private_attributes([session, reader]) == ["_rankings", "_ticks"]
+
+
+def test_all_lists_every_reexport_and_each_resolves():
+    import ducg
+
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    }
+    assert sorted(ducg.__all__) == sorted(imported)
+    assert [name for name in ducg.__all__ if not hasattr(ducg, name)] == []

@@ -166,6 +166,13 @@ _BAD_NUMBERS = {
     "bool state id": ("variables[1]", lambda d: d["variables"][1]["states"][1].update(id=True)),
     "fractional arc child": ("arcs[0]", lambda d: d["arcs"][0].update(child=3.2)),
     "bool arc parent": ("arcs[0]", lambda d: d["arcs"][0].update(parent=True)),
+    "bool arc weight": ("arcs[0]", lambda d: d["arcs"][0].update(weight=True)),
+    "bool prior": ("variables[0]", lambda d: d["variables"][0].update(prior={"1": True})),
+    "bool intensity": ("arcs[0]", lambda d: d["arcs"][0].update(matrix={"1": {"1": True}})),
+    "bool interval bounds": (
+        "variables[1]", lambda d: d["variables"][1].update(intervals={"1": [False, True]})
+    ),
+    "string arc weight": ("arcs[0]", lambda d: d["arcs"][0].update(weight="0.5")),
 }
 
 
@@ -197,6 +204,17 @@ def test_validate_reports_unconvertible_numbers_without_traceback(case, tmp_path
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {where}:"), proc.stderr
+
+
+@pytest.mark.parametrize("field", ["name", "severity"])
+def test_parse_rejects_a_state_name_or_severity_that_is_not_a_string(field):
+    """A non-string name used to be read through ``str()``, so ``{"x": 1}``
+    became the name ``"{'x': 1}"``."""
+    doc = {"version": 1, "variables": [json.loads(var_json(1, "B"))]}
+    doc["variables"][0]["states"][1][field] = {"x": 1}
+    message = f"variables[0]: state 1 {field} must be a string"
+    with pytest.raises(KBSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_kb(json.dumps(doc))
 
 
 def test_parse_reads_integral_floats_and_string_keys_as_integers():
