@@ -169,7 +169,7 @@ def _run_feed(
 
     for tick, readings in iter_reading_groups(lines, on_error=warn_line):
         snapshot, trigger = ingest_tick(
-            prev, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
+            prev, tick, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
         )
         prev = snapshot
 

@@ -283,11 +283,6 @@ class KnowledgeBase:
     def roots(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.variables.values() if v.kind == "B")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return serialize_kb(self) == serialize_kb(other)
-
 
 def _merge_arcs(
     existing: Iterable[CausalArc], incoming: Iterable[CausalArc]

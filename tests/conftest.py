@@ -72,8 +72,8 @@ def run_scenario(kb, csv_path, **ingest_kwargs):
     reports, layered = [], {}
     prev = None
     lines = Path(csv_path).read_text().splitlines()
-    for _tick, readings in iter_reading_groups(lines):
-        snapshot, triggered = ingest_tick(prev, readings, kb, **ingest_kwargs)
+    for tick, readings in iter_reading_groups(lines):
+        snapshot, triggered = ingest_tick(prev, tick, readings, kb, **ingest_kwargs)
         prev = snapshot
         if triggered and snapshot.abnormal_set:
             reports.append(session.diagnose_tick(snapshot))

@@ -214,9 +214,9 @@ def test_replay_maps_each_usable_reading_once(monkeypatch, capsys):
     signals = DATA / "tworoot_signals.csv"
     kb = parse_kb((DATA / "tworoot_kb.json").read_text())
     known = sum(
-        r.measure_point in kb.measure_points
+        measure_point in kb.measure_points
         for _, readings in iter_reading_groups(signals.read_text().splitlines())
-        for r in readings
+        for measure_point, _ in readings
     )
     calls = []
     real = ducg.signals.map_reading

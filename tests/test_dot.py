@@ -149,7 +149,7 @@ def test_dot_dir_draws_the_last_sixteen_layers(tworoot_kb, tmp_path):
     # draws the last 16 layers of the whole history
     session, layered, prev = DiagnosisSession(tworoot_kb), {}, None
     for tick, readings in iter_reading_groups(lines):
-        prev, _ = ingest_tick(prev, readings, tworoot_kb)
+        prev, _ = ingest_tick(prev, tick, readings, tworoot_kb)
         session.diagnose_tick(prev)
         layered = extend_layers(layered, session)
         for root, layers in layered.items():

@@ -420,6 +420,56 @@ def test_non_finite_weight_is_refused(tmp_path, tworoot_text, weight):
         DiagnosisSession(parse_kb(text))
 
 
+def _measure_root(doc):
+    doc["variables"][0]["measure_point"] = "MP01"  # variable 1 is a B root
+
+
+def _share_measure_point(doc):
+    doc["variables"][3]["measure_point"] = "MP03"  # X4 takes X3's point
+
+
+def _gauge_root(doc):
+    doc["variables"][0]["intervals"] = {"0": [-1.0, 1.0], "1": [1.0, 10.0]}
+
+
+@pytest.mark.parametrize(
+    "mutate, code, ids",
+    [
+        (_measure_root, "MEASURE_POINT_KIND", [1]),
+        (_share_measure_point, "MEASURE_POINT_CLASH", [3, 4]),
+        (_gauge_root, "INTERVAL_KIND", [1]),
+    ],
+    ids=["MEASURE_POINT_KIND", "MEASURE_POINT_CLASH", "INTERVAL_KIND"],
+)
+def test_validate_flags_gateway_misuse(tmp_path, tworoot_text, mutate, code, ids):
+    doc = json.loads(tworoot_text)
+    mutate(doc)
+    text = json.dumps(doc)
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+
+    assert [(v.code, list(v.ids)) for v in validate_kb(parse_kb(text))] == [(code, ids)]
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == json.dumps({"code": code, "ids": ids}, separators=(",", ":")) + "\n"
+
+
+def test_validate_no_root():
+    # ``parse_kb`` refuses a document without a B variable first
+    gauge = Variable(
+        id=3,
+        kind="X",
+        label="gauged",
+        states=(
+            StateDef(0, "normal", "normal", (0.0, 1.0)),
+            StateDef(1, "high", "abnormal", (1.0, 2.0)),
+        ),
+        measure_point="MP",
+    )
+    violations = validate_kb(KnowledgeBase({3: gauge}))
+    assert [(v.code, v.ids) for v in violations] == [("NO_ROOT", ())]
+
+
 @pytest.mark.parametrize("normal, flagged", [(0.3, True), (0.5, False)])
 def test_validate_checks_explicit_normal_entries(normal, flagged):
     kb = KnowledgeBase(
