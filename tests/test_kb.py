@@ -9,6 +9,7 @@ import pytest
 from ducg import (
     CausalArc,
     Condition,
+    ConditionLiteral,
     ConflictingDefinitionError,
     DiagnosisSession,
     DuplicateVariableError,
@@ -361,45 +362,182 @@ def test_validate_unsupported_kind():
     assert "UNSUPPORTED_KIND" in codes(kb)
 
 
-def test_validate_missing_prior_and_root_parent():
-    kb = KnowledgeBase(
-        {1: make_var(1, "B"), 2: make_var(2, "B", prior={1: 0.2}), 3: make_var(3)},
-        [CausalArc(1, 3, 1.0, {1: {1: 0.5}})],
-    )
-    found = codes(kb)
-    assert "MISSING_PRIOR" in found
-    assert "ROOT_HAS_PARENTS" in found
-
-
-def test_validate_interval_rules():
-    bad = Variable(
-        id=3,
-        kind="X",
-        label="gauged",
-        states=(
-            StateDef(0, "normal", "normal", (0.0, 1.0)),
-            StateDef(1, "high", "abnormal", (2.0, 3.0)),  # hole (1, 2]
+def gauge(*intervals, vid=3, kind="X", measure_point="MP"):
+    """A gauged variable whose state k covers ``intervals[k]`` (None: no interval)."""
+    return Variable(
+        id=vid,
+        kind=kind,
+        label=f"v{vid}",
+        states=tuple(
+            StateDef(k, s.name, s.severity, interval)
+            for k, (s, interval) in enumerate(zip(states(len(intervals)), intervals))
         ),
-        measure_point="MP",
+        measure_point=measure_point,
     )
-    kb = KnowledgeBase({1: make_var(1, "B", prior={1: 0.1}), 3: bad})
-    assert "INTERVAL_GAP" in codes(kb)
 
 
-def test_validate_normal_parent_column():
-    kb = KnowledgeBase(
-        {1: make_var(1, "B", prior={1: 0.1}), 3: make_var(3)},
-        [CausalArc(3, 1, 1.0, {1: {0: 0.2, 1: 0.5}})],
-    )
-    assert "NORMAL_PARENT_COLUMN" in codes(kb)
+ROOT = make_var(1, "B", prior={1: 0.1})
 
 
-def test_validate_nonpositive_weight():
-    kb = KnowledgeBase(
-        {1: make_var(1, "B", prior={1: 0.1}), 3: make_var(3)},
-        [CausalArc(3, 1, 0.0, {1: {1: 0.5}})],
-    )
-    assert "NONPOSITIVE_WEIGHT" in codes(kb)
+def arc_kb(matrix, *, parent=1, weight=1.0, condition=None, extra=()):
+    """Root 1 and X3, plus ``extra`` variables, joined by one arc 3←``parent``."""
+    variables = {1: ROOT, 3: make_var(3), **{v.id: v for v in extra}}
+    return KnowledgeBase(variables, [CausalArc(3, parent, weight, matrix, condition)])
+
+
+def when(var, state):
+    return Condition(any_of=((ConditionLiteral(var, state),),))
+
+
+# Each row: a minimal knowledge base and every finding ``validate_kb`` returns
+# for it, in order, as (code, ids). Every code and every shape of its ids has
+# a row.
+FINDINGS = {
+    "NO_ROOT": (KnowledgeBase({3: make_var(3)}), [("NO_ROOT", ())]),
+    "STATE_NUMBERING var": (
+        KnowledgeBase({
+            1: ROOT,
+            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"), StateDef(2, "s2", "abnormal"))),
+        }),
+        [("STATE_NUMBERING", (3,))],
+    ),
+    "STATE_NUMBERING state": (
+        KnowledgeBase({
+            1: ROOT,
+            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"), StateDef(1, "s1", "normal"))),
+        }),
+        [("STATE_NUMBERING", (3, 1))],
+    ),
+    "MISSING_PRIOR": (
+        KnowledgeBase({1: make_var(1, "B", n=3, prior={1: 0.1})}),
+        [("MISSING_PRIOR", (1, 2))],
+    ),
+    "DANGLING_REFERENCE prior state": (
+        KnowledgeBase({1: make_var(1, "B", prior={1: 0.1, 5: 0.1})}),
+        [("DANGLING_REFERENCE", (1, 5))],
+    ),
+    "PRIOR_RANGE": (
+        KnowledgeBase({1: make_var(1, "B", n=3, prior={1: -0.1, 2: 0.5})}),
+        [("PRIOR_RANGE", (1, 1))],
+    ),
+    "PRIOR_SUM": (
+        KnowledgeBase({1: make_var(1, "B", n=3, prior={1: 0.7, 2: 0.6})}),
+        [("PRIOR_SUM", (1,))],
+    ),
+    "PRIOR_KIND": (
+        KnowledgeBase({1: ROOT, 3: make_var(3, prior={1: 0.1})}),
+        [("PRIOR_KIND", (3,))],
+    ),
+    "MEASURE_POINT_KIND": (
+        KnowledgeBase({1: make_var(1, "B", prior={1: 0.1}, measure_point="MP")}),
+        [("MEASURE_POINT_KIND", (1,))],
+    ),
+    "MEASURE_POINT_CLASH": (
+        KnowledgeBase({
+            1: ROOT,
+            3: make_var(3, measure_point="MP"),
+            4: make_var(4, measure_point="MP"),
+        }),
+        [("MEASURE_POINT_CLASH", (3, 4))],
+    ),
+    "INTERVAL_KIND": (
+        KnowledgeBase({
+            1: ROOT,
+            2: gauge((0.0, 1.0), (1.0, 2.0), vid=2, kind="D", measure_point=None),
+        }),
+        [("INTERVAL_KIND", (2,))],
+    ),
+    "INTERVAL_GAP state": (
+        KnowledgeBase({1: ROOT, 3: gauge((0.0, 1.0), None)}),
+        [("INTERVAL_GAP", (3, 1))],
+    ),
+    "INTERVAL_GAP range": (
+        KnowledgeBase({1: ROOT, 3: gauge((0.0, 1.0), (2.0, 3.0))}),  # hole (1, 2]
+        [("INTERVAL_GAP", (3, 0, 1))],
+    ),
+    "INTERVAL_BOUNDS": (
+        KnowledgeBase({1: ROOT, 3: gauge((0.0, 1.0), (1.0, 1.0))}),
+        [("INTERVAL_BOUNDS", (3, 1))],
+    ),
+    "INTERVAL_OVERLAP": (
+        KnowledgeBase({1: ROOT, 3: gauge((0.0, 1.0), (0.5, 2.0))}),
+        [("INTERVAL_OVERLAP", (3, 0, 1))],
+    ),
+    "DANGLING_REFERENCE arc child": (
+        KnowledgeBase({1: ROOT}, [CausalArc(3, 1, 1.0, {1: {1: 0.5}})]),
+        [("DANGLING_REFERENCE", (3,))],
+    ),
+    "DANGLING_REFERENCE arc parent": (
+        arc_kb({1: {1: 0.5}}, parent=2),
+        [("DANGLING_REFERENCE", (2,))],
+    ),
+    "DANGLING_REFERENCE condition variable": (
+        arc_kb({1: {1: 0.5}}, condition=when(9, 1)),
+        [("DANGLING_REFERENCE", (3, 1, 9))],
+    ),
+    "DANGLING_REFERENCE condition state": (
+        arc_kb({1: {1: 0.5}}, condition=when(4, 5), extra=[make_var(4)]),
+        [("DANGLING_REFERENCE", (3, 1, 4, 5))],
+    ),
+    "DANGLING_REFERENCE matrix child state": (
+        arc_kb({5: {1: 0.5}}),
+        [("DANGLING_REFERENCE", (3, 1, 5))],
+    ),
+    "DANGLING_REFERENCE matrix parent state": (
+        arc_kb({1: {5: 0.5}}),
+        [("DANGLING_REFERENCE", (3, 1, 1, 5))],
+    ),
+    "NONPOSITIVE_WEIGHT": (
+        arc_kb({1: {1: 0.5}}, weight=0.0),
+        [("NONPOSITIVE_WEIGHT", (3, 1))],
+    ),
+    "UNSUPPORTED_KIND": (
+        arc_kb({1: {1: 0.5}}, parent=2, extra=[make_var(2, "BX")]),
+        [("UNSUPPORTED_KIND", (3, 2))],
+    ),
+    "MISSING_PRIOR and ROOT_HAS_PARENTS": (
+        KnowledgeBase(
+            {1: make_var(1, "B"), 2: make_var(2, "B", prior={1: 0.2}), 3: make_var(3)},
+            [CausalArc(1, 3, 1.0, {1: {1: 0.5}})],
+        ),
+        [("MISSING_PRIOR", (1, 1)), ("ROOT_HAS_PARENTS", (1, 3))],
+    ),
+    "NORMAL_PARENT_COLUMN": (
+        arc_kb({1: {0: 0.2, 1: 0.5}}),
+        [("NORMAL_PARENT_COLUMN", (3, 1))],
+    ),
+    "PROB_RANGE": (
+        arc_kb({1: {1: -0.5}}),
+        [("PROB_RANGE", (3, 1, 1, 1))],
+    ),
+    "PROB_RANGE and COLUMN_SUM": (
+        arc_kb({1: {1: 1.5}}),
+        [("PROB_RANGE", (3, 1, 1, 1)), ("COLUMN_SUM", (3, 1, 1))],
+    ),
+    "COLUMN_SUM and INCONSISTENT_NORMAL_ROW": (
+        arc_kb({1: {1: 0.8}, 0: {1: 0.4}}),
+        [("COLUMN_SUM", (3, 1, 1)), ("INCONSISTENT_NORMAL_ROW", (3, 1, 1))],
+    ),
+    "column checks in parent-state order": (
+        arc_kb({1: {2: 0.9, 1: 0.9}, 0: {2: 0.5, 1: 0.5}}, parent=4, extra=[make_var(4, n=3)]),
+        [
+            ("COLUMN_SUM", (3, 4, 1)),
+            ("INCONSISTENT_NORMAL_ROW", (3, 4, 1)),
+            ("COLUMN_SUM", (3, 4, 2)),
+            ("INCONSISTENT_NORMAL_ROW", (3, 4, 2)),
+        ],
+    ),
+    "INCONSISTENT_NORMAL_ROW": (
+        arc_kb({0: {1: 0.3}, 1: {1: 0.5}}),
+        [("INCONSISTENT_NORMAL_ROW", (3, 1, 1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FINDINGS, ids=str)
+def test_validate_finding_ids(case):
+    kb, expected = FINDINGS[case]
+    assert [(v.code, v.ids) for v in validate_kb(kb)] == expected
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
