@@ -224,7 +224,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     subgraphs = []
     for path in args.kbs:
         kb = _load_kb(path)
-        subgraphs.extend(kb.subducgs if kb.subducgs else decompose(kb))
+        # ``kb.arcs`` also holds the top-level arcs: split it, not the declared subgraphs
+        subgraphs.extend(decompose(kb) if kb.doc_arcs or not kb.subducgs else kb.subducgs)
     selection = None
     if args.roots:
         try:
@@ -267,7 +268,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if (
         root_var is None
         or root_var.kind != "B"
-        or not root_var.has_state(args.state)
+        or args.state not in root_var.state_ids
         or args.state == 0
     ):
         print(

@@ -82,9 +82,6 @@ class Variable:
                 return s
         raise KeyError(state_id)
 
-    def has_state(self, state_id: int) -> bool:
-        return any(s.state_id == state_id for s in self.states)
-
 
 @dataclass(frozen=True)
 class ConditionLiteral:
@@ -177,19 +174,6 @@ class CausalArc:
     weight: float
     matrix: Mapping[int, Mapping[int, float]]
     condition: Condition | None = None
-
-    def parent_states_specified(self) -> tuple[int, ...]:
-        js: set[int] = set()
-        for row in self.matrix.values():
-            js.update(row.keys())
-        return tuple(sorted(js))
-
-    def column(self, parent_state: int) -> dict[int, float]:
-        return {
-            k: row[parent_state]
-            for k, row in self.matrix.items()
-            if parent_state in row
-        }
 
     def sort_key(self) -> tuple:
         cond = json.dumps(self.condition.to_json()) if self.condition else ""
@@ -612,7 +596,6 @@ class Violation:
 
     code: str
     ids: tuple[int, ...]
-    message: str
 
     def to_json(self) -> dict[str, Any]:
         return {"code": self.code, "ids": list(self.ids)}
@@ -621,201 +604,109 @@ class Violation:
 def validate_kb(kb: KnowledgeBase) -> list[Violation]:
     """Check every rule the inference engine relies on; return all violations."""
     out: list[Violation] = []
-    add = lambda code, ids, msg: out.append(Violation(code, tuple(ids), msg))  # noqa: E731
+    add = lambda code, *ids: out.append(Violation(code, ids))  # noqa: E731
 
     if not any(v.kind == "B" for v in kb.variables.values()):
-        add("NO_ROOT", (), "knowledge base declares no B-type root cause")
+        add("NO_ROOT")
 
     seen_measure_points: dict[str, int] = {}
     for var in kb.variables.values():
-        ids = [s.state_id for s in var.states]
-        if ids != list(range(len(ids))):
-            add("STATE_NUMBERING", (var.id,), f"states of {var.id} are not 0..n-1")
+        if var.state_ids != tuple(range(len(var.states))):
+            add("STATE_NUMBERING", var.id)
         for s in var.states:
-            expected = "normal" if s.state_id == 0 else "abnormal"
-            if s.severity != expected:
-                add(
-                    "STATE_NUMBERING",
-                    (var.id, s.state_id),
-                    f"state {s.state_id} of {var.id} must have severity {expected}",
-                )
+            if s.severity != ("normal" if s.state_id == 0 else "abnormal"):
+                add("STATE_NUMBERING", var.id, s.state_id)
 
         if var.kind == "B":
             prior = var.prior or {}
             for sid in var.abnormal_state_ids:
                 if sid not in prior:
-                    add(
-                        "MISSING_PRIOR",
-                        (var.id, sid),
-                        f"abnormal state {sid} of root {var.id} has no prior",
-                    )
+                    add("MISSING_PRIOR", var.id, sid)
             for sid, p in prior.items():
-                if not var.has_state(sid):
-                    add(
-                        "DANGLING_REFERENCE",
-                        (var.id, sid),
-                        f"prior of {var.id} names unknown state {sid}",
-                    )
+                if sid not in var.state_ids:
+                    add("DANGLING_REFERENCE", var.id, sid)
                 if not 0.0 <= p <= 1.0:
-                    add(
-                        "PRIOR_RANGE",
-                        (var.id, sid),
-                        f"prior {p} of {var.id} state {sid} outside [0, 1]",
-                    )
+                    add("PRIOR_RANGE", var.id, sid)
             if sum(prior.values()) > 1.0 + PROBABILITY_TOL:
-                add(
-                    "PRIOR_SUM",
-                    (var.id,),
-                    f"priors of root {var.id} sum to {sum(prior.values())} > 1",
-                )
+                add("PRIOR_SUM", var.id)
         elif var.prior is not None:
-            add("PRIOR_KIND", (var.id,), f"{var.kind} variable {var.id} carries a prior")
+            add("PRIOR_KIND", var.id)
 
         if var.measure_point is not None:
             if var.kind != "X":
-                add(
-                    "MEASURE_POINT_KIND",
-                    (var.id,),
-                    f"measure point on {var.kind} variable {var.id}",
-                )
+                add("MEASURE_POINT_KIND", var.id)
             elif var.measure_point in seen_measure_points:
-                add(
-                    "MEASURE_POINT_CLASH",
-                    (seen_measure_points[var.measure_point], var.id),
-                    f"measure point {var.measure_point!r} bound twice",
-                )
+                add("MEASURE_POINT_CLASH", seen_measure_points[var.measure_point], var.id)
             else:
                 seen_measure_points[var.measure_point] = var.id
 
         gauged = [s for s in var.states if s.interval is not None]
         if gauged and var.kind != "X":
-            add("INTERVAL_KIND", (var.id,), f"intervals on {var.kind} variable {var.id}")
+            add("INTERVAL_KIND", var.id)
         if gauged:
             if len(gauged) != len(var.states):
-                missing = [s.state_id for s in var.states if s.interval is None]
-                add(
-                    "INTERVAL_GAP",
-                    (var.id, missing[0]),
-                    f"state(s) {missing} of {var.id} have no interval",
-                )
+                missing = next(s for s in var.states if s.interval is None)
+                add("INTERVAL_GAP", var.id, missing.state_id)
             for s in gauged:
                 lo, hi = s.interval  # type: ignore[misc]
                 if not lo < hi:
-                    add(
-                        "INTERVAL_BOUNDS",
-                        (var.id, s.state_id),
-                        f"empty interval ({lo}, {hi}] on {var.id} state {s.state_id}",
-                    )
+                    add("INTERVAL_BOUNDS", var.id, s.state_id)
             ordered = sorted(gauged, key=lambda s: s.interval[0])  # type: ignore[index]
             for a, b in zip(ordered, ordered[1:]):
                 gap = b.interval[0] - a.interval[1]  # type: ignore[index]
                 if gap > PROBABILITY_TOL:
-                    add(
-                        "INTERVAL_GAP",
-                        (var.id, a.state_id, b.state_id),
-                        f"uncovered range ({a.interval[1]}, {b.interval[0]}] on {var.id}",
-                    )
+                    add("INTERVAL_GAP", var.id, a.state_id, b.state_id)
                 elif gap < -PROBABILITY_TOL:
-                    add(
-                        "INTERVAL_OVERLAP",
-                        (var.id, a.state_id, b.state_id),
-                        f"overlapping intervals on {var.id}",
-                    )
+                    add("INTERVAL_OVERLAP", var.id, a.state_id, b.state_id)
 
     for arc in kb.arcs:
         pair = (arc.child, arc.parent)
         child = kb.variables.get(arc.child)
         parent = kb.variables.get(arc.parent)
         if child is None:
-            add("DANGLING_REFERENCE", (arc.child,), f"arc child {arc.child} undeclared")
+            add("DANGLING_REFERENCE", arc.child)
         if parent is None:
-            add(
-                "DANGLING_REFERENCE",
-                (arc.parent,),
-                f"arc parent {arc.parent} undeclared",
-            )
+            add("DANGLING_REFERENCE", arc.parent)
         if not 0 < arc.weight < math.inf:  # NaN fails this too
-            add("NONPOSITIVE_WEIGHT", pair, f"arc {pair} has weight {arc.weight}")
+            add("NONPOSITIVE_WEIGHT", *pair)
         if (child and child.kind in UNSUPPORTED_ARC_KINDS) or (
             parent and parent.kind in UNSUPPORTED_ARC_KINDS
         ):
-            add(
-                "UNSUPPORTED_KIND",
-                pair,
-                f"arc {pair} touches a reserved kind (BX/G) unsupported for inference",
-            )
+            add("UNSUPPORTED_KIND", *pair)
         if child and child.kind in ROOT_KINDS:
-            add(
-                "ROOT_HAS_PARENTS",
-                pair,
-                f"{child.kind} variable {arc.child} may not have parents",
-            )
+            add("ROOT_HAS_PARENTS", *pair)
 
         if arc.condition is not None:
             for group in arc.condition.any_of:
                 for lit in group:
                     ref = kb.variables.get(lit.var)
                     if ref is None:
-                        add(
-                            "DANGLING_REFERENCE",
-                            (arc.child, arc.parent, lit.var),
-                            f"condition of arc {pair} names unknown variable {lit.var}",
-                        )
-                    elif not ref.has_state(lit.state):
-                        add(
-                            "DANGLING_REFERENCE",
-                            (arc.child, arc.parent, lit.var, lit.state),
-                            f"condition of arc {pair} names unknown state "
-                            f"{lit.var}/{lit.state}",
-                        )
+                        add("DANGLING_REFERENCE", *pair, lit.var)
+                    elif lit.state not in ref.state_ids:
+                        add("DANGLING_REFERENCE", *pair, lit.var, lit.state)
 
         if child is None or parent is None:
             continue
+        columns: dict[int, dict[int, float]] = {}  # parent state -> child state -> p
         for k, row in arc.matrix.items():
-            if not child.has_state(k):
-                add(
-                    "DANGLING_REFERENCE",
-                    (arc.child, arc.parent, k),
-                    f"matrix of arc {pair} names unknown child state {k}",
-                )
+            if k not in child.state_ids:
+                add("DANGLING_REFERENCE", *pair, k)
             for j, p in row.items():
                 if j == 0:
-                    add(
-                        "NORMAL_PARENT_COLUMN",
-                        pair,
-                        f"matrix of arc {pair} specifies the normal parent column",
-                    )
-                elif not parent.has_state(j):
-                    add(
-                        "DANGLING_REFERENCE",
-                        (arc.child, arc.parent, k, j),
-                        f"matrix of arc {pair} names unknown parent state {j}",
-                    )
+                    add("NORMAL_PARENT_COLUMN", *pair)
+                else:
+                    if j not in parent.state_ids:
+                        add("DANGLING_REFERENCE", *pair, k, j)
+                    columns.setdefault(j, {})[k] = p
                 if not 0.0 <= p <= 1.0:
-                    add(
-                        "PROB_RANGE",
-                        (arc.child, arc.parent, k, j),
-                        f"intensity {p} outside [0, 1] on arc {pair}",
-                    )
-        for j in arc.parent_states_specified():
-            if j == 0:
-                continue
-            column = arc.column(j)
-            total = sum(column.values())
+                    add("PROB_RANGE", *pair, k, j)
+        for j in sorted(columns):
+            column = columns[j]
+            if sum(column.values()) > 1.0 + PROBABILITY_TOL:
+                add("COLUMN_SUM", *pair, j)
             abnormal_sum = sum(p for k, p in column.items() if k != 0)
-            if total > 1.0 + PROBABILITY_TOL:
-                add(
-                    "COLUMN_SUM",
-                    (arc.child, arc.parent, j),
-                    f"column {j} of arc {pair} sums to {total} > 1",
-                )
             if 0 in column and abs(column[0] - (1.0 - abnormal_sum)) > PROBABILITY_TOL:
-                add(
-                    "INCONSISTENT_NORMAL_ROW",
-                    (arc.child, arc.parent, j),
-                    f"explicit normal entry of arc {pair} column {j} is not the "
-                    "complement of the abnormal mass",
-                )
+                add("INCONSISTENT_NORMAL_ROW", *pair, j)
 
     return out
 

@@ -34,15 +34,22 @@ def test_validate_modular_kb_exits_zero():
     assert proc.returncode == 0
 
 
-def test_validate_reports_violations(tmp_path):
+def two_violation_kb(tmp_path):
+    """The two-root fixture with arc 3←1's one intensity raised to 1.7."""
     doc = json.loads((DATA / "tworoot_kb.json").read_text())
     doc["arcs"][0]["matrix"]["1"]["1"] = 1.7
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    proc = run_cli("validate", str(bad))
+    return bad
+
+
+def test_validate_reports_violations(tmp_path):
+    proc = run_cli("validate", str(two_violation_kb(tmp_path)))
     assert proc.returncode == 1
-    codes = {line["code"] for line in json_lines(proc.stdout)}
-    assert "PROB_RANGE" in codes and "COLUMN_SUM" in codes
+    assert json_lines(proc.stdout) == [
+        {"code": "PROB_RANGE", "ids": [3, 1, 1, 1]},
+        {"code": "COLUMN_SUM", "ids": [3, 1, 1]},
+    ]
 
 
 def test_validate_missing_file_exits_one():
@@ -77,6 +84,37 @@ def test_compile_root_selection(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert {v["id"] for v in doc["variables"]} == {1, 3, 4, 5, 6}
+
+
+MIXED_KB = {
+    "version": 1,
+    "variables": [
+        {"id": 1, "kind": "B", "states": [{"id": 0}, {"id": 1}], "prior": {"1": 0.1}},
+        {"id": 2, "kind": "X", "states": [{"id": 0}, {"id": 1}]},
+        {"id": 3, "kind": "X", "states": [{"id": 0}, {"id": 1}]},
+    ],
+    "arcs": [{"child": 3, "parent": 2, "matrix": {"1": {"1": 0.5}}}],
+    "subducgs": [
+        {
+            "root": 1,
+            "variables": [1, 2],
+            "arcs": [{"child": 2, "parent": 1, "matrix": {"1": {"1": 0.7}}}],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize("roots", [[], ["--roots", "1"]], ids=["all", "root 1"])
+def test_compile_keeps_top_level_arcs_beside_subducgs(tmp_path, roots):
+    """Inference reads both arc lists, so the compiled document holds both."""
+    kb = tmp_path / "mixed.json"
+    kb.write_text(json.dumps(MIXED_KB))
+    out = tmp_path / "fused.json"
+    proc = run_cli("compile", str(kb), "-o", str(out), *roots)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert [v["id"] for v in doc["variables"]] == [1, 2, 3]
+    assert [(a["child"], a["parent"]) for a in doc["arcs"]] == [(2, 1), (3, 2)]
 
 
 def test_compile_rejects_non_integer_root_ids(tmp_path):
@@ -266,6 +304,20 @@ def test_stream_matches_replay_byte_for_byte():
     assert streamed.returncode == replayed.returncode == 0
     assert streamed.stdout == replayed.stdout
     assert streamed.stderr == replayed.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["replay", "stream"])
+def test_feed_refuses_an_invalid_kb_naming_each_finding(tmp_path, command):
+    signals = DATA / "tworoot_signals.csv"
+    argv = [command, "--kb", str(two_violation_kb(tmp_path))]
+    if command == "replay":
+        argv += ["--signals", str(signals)]
+    proc = run_cli(*argv, stdin_text=signals.read_text())
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: knowledge base failed validation: PROB_RANGE[3, 1, 1, 1], COLUMN_SUM[3, 1, 1]\n"
+    )
 
 
 def test_stream_survives_malformed_input():

@@ -397,14 +397,16 @@ FINDINGS = {
     "STATE_NUMBERING var": (
         KnowledgeBase({
             1: ROOT,
-            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"), StateDef(2, "s2", "abnormal"))),
+            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"),
+                                       StateDef(2, "s2", "abnormal"))),
         }),
         [("STATE_NUMBERING", (3,))],
     ),
     "STATE_NUMBERING state": (
         KnowledgeBase({
             1: ROOT,
-            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"), StateDef(1, "s1", "normal"))),
+            3: Variable(3, "X", "v3", (StateDef(0, "normal", "normal"),
+                                       StateDef(1, "s1", "normal"))),
         }),
         [("STATE_NUMBERING", (3, 1))],
     ),

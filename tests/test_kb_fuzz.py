@@ -1,13 +1,18 @@
 """Seeded mutations of the fixture knowledge bases end in a coded error or
-nowhere: ``parse_kb``, ``validate_kb``, ``DiagnosisSession`` and
-``compile_kb`` raise nothing but a ``DucgError`` on a malformed document."""
+nowhere: ``parse_kb`` and ``DiagnosisSession`` raise nothing but a
+``DucgError`` on a malformed document, and ``ducg validate`` and
+``ducg compile`` let nothing escape ``cli.main``, which turns a ``DucgError``
+into exit code 1."""
 
+import contextlib
+import io
 import json
 import random
 import traceback
 from pathlib import Path
 
-from ducg import DiagnosisSession, DucgError, compile_kb, decompose, parse_kb, validate_kb
+from ducg import DiagnosisSession, DucgError, parse_kb
+from ducg.cli import main
 
 DATA = Path(__file__).parent / "data"
 KBS = ("tworoot_kb.json", "tworoot_modular_kb.json", "plant24_kb.json")
@@ -48,31 +53,27 @@ def mutate(doc, rng):
     return doc
 
 
-def load_all_the_way(text):
-    """Every entry point a KB document reaches, each allowed a coded error."""
+def load_all_the_way(text, path, out):
+    """Every entry point a KB document reaches, each allowed a coded error;
+    the commands run on the document written to ``path``."""
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["validate", str(path)])
+        main(["compile", str(path), "-o", str(out)])
     try:
-        kb = parse_kb(text)
-    except DucgError:
-        return
-    validate_kb(kb)
-    try:
-        DiagnosisSession(kb)
-    except DucgError:
-        pass
-    try:
-        compile_kb(kb.subducgs or decompose(kb))
+        DiagnosisSession(parse_kb(text))
     except DucgError:
         pass
 
 
-def test_mutated_kbs_raise_only_coded_errors():
+def test_mutated_kbs_raise_only_coded_errors(tmp_path):
     docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
     escapes = {}
     for seed in range(MUTATIONS):
         rng = random.Random(seed)
         text = json.dumps(mutate(rng.choice(docs), rng))
         try:
-            load_all_the_way(text)
+            load_all_the_way(text, tmp_path / "kb.json", tmp_path / "compiled.json")
         except Exception as exc:  # anything but a DucgError is a defect
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
