@@ -179,17 +179,6 @@ class CausalArc:
         cond = json.dumps(self.condition.to_json()) if self.condition else ""
         return (self.child, self.parent, cond, self.weight)
 
-    def same_mechanism(self, other: "CausalArc") -> bool:
-        """True when both arcs describe the identical parameterization."""
-        return (
-            self.child == other.child
-            and self.parent == other.parent
-            and self.condition == other.condition
-            and self.weight == other.weight
-            and {k: dict(r) for k, r in self.matrix.items()}
-            == {k: dict(r) for k, r in other.matrix.items()}
-        )
-
 
 def completed_intensity(arc: CausalArc, child_state: int, parent_state: int) -> float:
     """Effective intensity of ``arc`` for (child_state ← parent_state).
@@ -230,9 +219,12 @@ class SubDUCG:
 class KnowledgeBase:
     """Immutable-by-convention container for variables and causal arcs.
 
-    ``arcs`` is the effective arc set used for inference (document arcs plus
-    all subgraph arcs, deduplicated). The original document split is kept so
-    serialization round-trips.
+    ``arcs`` is the effective arc set used for inference: the document's own
+    arcs as written (parallel arcs are legal), then each subgraph arc whose
+    (child, parent, condition) is new. A later arc with a known key is dropped
+    when its weight and matrix equal those of the first arc of that key;
+    otherwise :class:`ConflictingDefinitionError` names its (child, parent).
+    The original document split is kept so serialization round-trips.
     """
 
     def __init__(
@@ -250,9 +242,7 @@ class KnowledgeBase:
         self.subducgs: tuple[SubDUCG, ...] = tuple(
             sorted(subducgs, key=lambda s: s.root)
         )
-        merged = list(self.doc_arcs)
-        for sub in self.subducgs:
-            merged = _merge_arcs(merged, sub.arcs)
+        merged = _merge_arcs(self.doc_arcs, (sub.arcs for sub in self.subducgs))
         self.arcs: tuple[CausalArc, ...] = tuple(sorted(merged, key=CausalArc.sort_key))
 
         self._parents: dict[int, list[CausalArc]] = {}
@@ -269,28 +259,31 @@ class KnowledgeBase:
 
 
 def _merge_arcs(
-    existing: Iterable[CausalArc], incoming: Iterable[CausalArc]
+    kept: Iterable[CausalArc], incoming_lists: Iterable[Iterable[CausalArc]]
 ) -> list[CausalArc]:
-    """Merge arc lists; identical duplicates collapse, conflicting ones raise."""
-    merged: list[CausalArc] = list(existing)
-    for arc in incoming:
-        clash = None
-        for have in merged:
-            if (
-                have.child == arc.child
-                and have.parent == arc.parent
-                and have.condition == arc.condition
+    """The fusion rule of :class:`KnowledgeBase`, in one pass over
+    ``incoming_lists``. Weights compare with ``!=``, so a NaN weight never
+    repeats; tuple or dataclass ``==`` would match one NaN object to itself."""
+    merged = list(kept)
+    first: dict[tuple, CausalArc] = {}
+    for arc in merged:
+        first.setdefault((arc.child, arc.parent, arc.condition), arc)
+    for incoming in incoming_lists:
+        for arc in incoming:
+            key = (arc.child, arc.parent, arc.condition)
+            have = first.get(key)
+            if have is None:
+                first[key] = arc
+                merged.append(arc)
+            elif have.weight != arc.weight or (
+                {k: dict(r) for k, r in have.matrix.items()}
+                != {k: dict(r) for k, r in arc.matrix.items()}
             ):
-                clash = have
-                break
-        if clash is None:
-            merged.append(arc)
-        elif not clash.same_mechanism(arc):
-            raise ConflictingDefinitionError(
-                f"arc {arc.child}<-{arc.parent} defined twice with different "
-                "parameters",
-                ids=(arc.child, arc.parent),
-            )
+                raise ConflictingDefinitionError(
+                    f"arc {arc.child}<-{arc.parent} defined twice with different "
+                    "parameters",
+                    ids=(arc.child, arc.parent),
+                )
     return merged
 
 
@@ -750,10 +743,7 @@ def compile_kb(
                     ids=(var.id,),
                 )
 
-    arcs: list[CausalArc] = []
-    for sub in chosen:
-        arcs = _merge_arcs(arcs, sub.arcs)
-    return KnowledgeBase(variables, arcs)
+    return KnowledgeBase(variables, _merge_arcs((), (sub.arcs for sub in chosen)))
 
 
 def decompose(kb: KnowledgeBase) -> list[SubDUCG]:

@@ -153,7 +153,8 @@ def iter_reading_groups(
     """Group a raw line feed into ``(tick, [(measure_point, value), ...])``
     batches, one per tick.
 
-    Comment lines (``#``), blank lines, and one optional header are skipped.
+    Comment lines (``#``), blank lines, and header lines (any line starting
+    ``tick,``, in any case, wherever it appears) are skipped.
     A malformed or tick-regressing line raises ``MalformedLineError``, or
     with ``on_error`` is reported as (line number, exception) and skipped,
     so a live stream survives bad input.

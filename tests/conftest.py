@@ -27,6 +27,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  {verdict}  {name}")
 
 from ducg import (
+    ConflictingDefinitionError,
     DiagnosisSession,
     ingest_tick,
     iter_reading_groups,
@@ -53,6 +54,59 @@ def run_cli(*argv, stdin_text=None, cwd=None):
         env=env,
         timeout=120,
     )
+
+
+def _same_mechanism(a, b):
+    return (
+        a.child == b.child
+        and a.parent == b.parent
+        and a.condition == b.condition
+        and a.weight == b.weight
+        and {k: dict(r) for k, r in a.matrix.items()}
+        == {k: dict(r) for k, r in b.matrix.items()}
+    )
+
+
+def _merge_pair(existing, incoming):
+    merged = list(existing)
+    for arc in incoming:
+        clash = None
+        for have in merged:
+            if (
+                have.child == arc.child
+                and have.parent == arc.parent
+                and have.condition == arc.condition
+            ):
+                clash = have
+                break
+        if clash is None:
+            merged.append(arc)
+        elif not _same_mechanism(clash, arc):
+            raise ConflictingDefinitionError(
+                f"arc {arc.child}<-{arc.parent} defined twice with different "
+                "parameters",
+                ids=(arc.child, arc.parent),
+            )
+    return merged
+
+
+def reference_merge(kept, incoming_lists):
+    """The arc fusion rule as first written, for tests only: one pairwise
+    merge per incoming list, in which each arc scans the whole merged list for
+    the first arc of its (child, parent, condition)."""
+    merged = list(kept)
+    for incoming in incoming_lists:
+        merged = _merge_pair(merged, incoming)
+    return merged
+
+
+def merge_outcome(merge, kept, incoming_lists):
+    """What ``merge`` makes of the lists: the merged arcs' object ids in
+    order, or its conflict's (text, ids)."""
+    try:
+        return [id(arc) for arc in merge(kept, incoming_lists)]
+    except ConflictingDefinitionError as exc:
+        return (str(exc), exc.ids)
 
 
 def extend_layers(layered, session):

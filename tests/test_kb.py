@@ -5,6 +5,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ducg import (
     CausalArc,
@@ -27,8 +28,9 @@ from ducg import (
     serialize_kb,
     validate_kb,
 )
+from ducg.kb import _merge_arcs
 
-from conftest import run_cli
+from conftest import merge_outcome, reference_merge, run_cli
 
 
 def states(n):
@@ -749,8 +751,86 @@ def test_compile_rejects_conflicting_arc_parameters(tworoot_kb):
         for a in sub2.arcs
     )
     bad = type(sub2)(root=sub2.root, variables=dict(sub2.variables), arcs=tweaked)
-    with pytest.raises(ConflictingDefinitionError):
+    with pytest.raises(ConflictingDefinitionError) as excinfo:
         compile_kb([sub1, bad])
+    assert str(excinfo.value) == "arc 4<-5 defined twice with different parameters"
+    assert excinfo.value.ids == (4, 5)
+
+
+def test_subducgs_sharing_a_nan_weight_arc_conflict():
+    # json.loads reads every NaN as one float object, and tuple == matches an
+    # object to itself; NaN equals no weight, so the repeat is a conflict
+    arc = {"child": 2, "parent": 1, "weight": math.nan, "matrix": {"1": {"1": 0.5}}}
+    doc = {
+        "variables": [
+            {"id": 1, "kind": "B", "states": [{"id": 0}, {"id": 1}], "prior": {"1": 0.1}},
+            {"id": 2, "kind": "X", "states": [{"id": 0}, {"id": 1}]},
+            {"id": 3, "kind": "B", "states": [{"id": 0}, {"id": 1}], "prior": {"1": 0.1}},
+        ],
+        "subducgs": [
+            {"root": 1, "variables": [1, 2], "arcs": [arc]},
+            {"root": 3, "variables": [1, 2, 3], "arcs": [
+                arc, {"child": 2, "parent": 3, "matrix": {"1": {"1": 0.5}}}]},
+        ],
+    }
+    with pytest.raises(ConflictingDefinitionError) as excinfo:
+        parse_kb(json.dumps(doc))
+    assert str(excinfo.value) == "arc 2<-1 defined twice with different parameters"
+    assert excinfo.value.ids == (2, 1)
+
+
+# Few keys, so lists repeat keys. Most arcs take their key's own parameter
+# set, so repeats are often identical; the rest take any set. NaN is one
+# shared object, as json.loads reads it, in a weight and in a matrix cell.
+_CONDITIONS = (
+    None,
+    Condition(((ConditionLiteral(3, 1),),)),
+    Condition(((ConditionLiteral(3, 0),), (ConditionLiteral(4, 1),))),
+)
+_PARAMETERS = (
+    (1.0, {1: {1: 0.5}}),
+    (0.5, {1: {1: 0.5}}),
+    (1.0, {1: {1: 0.25}, 0: {1: 0.75}}),
+    (math.nan, {1: {1: 0.5}}),
+    (1.0, {1: {1: math.nan}}),
+    (1.0, {}),
+)
+_arc_spec = st.tuples(
+    st.sampled_from((2, 3)),
+    st.sampled_from((1, 2)),
+    st.sampled_from(range(len(_CONDITIONS))),
+    st.sampled_from((None,) * 12 + tuple(range(len(_PARAMETERS)))),
+    st.booleans(),  # reuse the object an earlier equal spec built, as decompose does
+)
+
+
+def _arcs(specs, built):
+    out = []
+    for child, parent, condition, params, reuse in specs:
+        if params is None:
+            params = (child + parent + condition) % len(_PARAMETERS)
+        key = (child, parent, condition, params)
+        if not (reuse and key in built):
+            weight, matrix = _PARAMETERS[params]
+            built[key] = CausalArc(
+                child, parent, weight, {k: dict(r) for k, r in matrix.items()},
+                _CONDITIONS[condition],
+            )
+        out.append(built[key])
+    return out
+
+
+@given(
+    kept=st.lists(_arc_spec, max_size=6),
+    incoming=st.lists(st.lists(_arc_spec, max_size=6), max_size=5),
+)
+def test_merge_arcs_follows_the_pairwise_rule(kept, incoming):
+    built = {}
+    kept_arcs = _arcs(kept, built)
+    lists = [_arcs(specs, built) for specs in incoming]
+    assert merge_outcome(_merge_arcs, kept_arcs, lists) == merge_outcome(
+        reference_merge, kept_arcs, lists
+    )
 
 
 def test_compile_unknown_selection():

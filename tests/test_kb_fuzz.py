@@ -2,7 +2,8 @@
 nowhere: ``parse_kb`` and ``DiagnosisSession`` raise nothing but a
 ``DucgError`` on a malformed document, and ``ducg validate`` and
 ``ducg compile`` let nothing escape ``cli.main``, which turns a ``DucgError``
-into exit code 1."""
+into exit code 1. Each mutation's fused arcs, or its arc conflict, are those
+of the pairwise reference rule."""
 
 import contextlib
 import io
@@ -10,9 +11,19 @@ import json
 import random
 import traceback
 from pathlib import Path
+from unittest import mock
 
-from ducg import DiagnosisSession, DucgError, parse_kb
+from ducg import (
+    CausalArc,
+    ConflictingDefinitionError,
+    DiagnosisSession,
+    DucgError,
+    kb as kb_module,
+    parse_kb,
+)
 from ducg.cli import main
+
+from conftest import merge_outcome, reference_merge
 
 DATA = Path(__file__).parent / "data"
 KBS = ("tworoot_kb.json", "tworoot_modular_kb.json", "plant24_kb.json")
@@ -66,9 +77,39 @@ def load_all_the_way(text, path, out):
         pass
 
 
+def reference_fused(kept, incoming_lists):
+    return sorted(reference_merge(kept, incoming_lists), key=CausalArc.sort_key)
+
+
+def fusion_mismatch(text):
+    """None when ``parse_kb`` fuses the document's arcs as the reference rule
+    does (the same arc objects in the same order, or the same conflict) or
+    refuses the document before fusing; otherwise both outcomes."""
+    knowledge_base, pieces = kb_module.KnowledgeBase, []
+
+    def recording(variables, arcs, subducgs):
+        pieces.append((arcs, subducgs))
+        return knowledge_base(variables, arcs, subducgs)
+
+    with mock.patch.object(kb_module, "KnowledgeBase", recording):
+        try:
+            got = [id(arc) for arc in parse_kb(text).arcs]
+        except ConflictingDefinitionError as exc:
+            got = (str(exc), exc.ids)
+        except DucgError:
+            return None
+    arcs, subducgs = pieces[0]
+    want = merge_outcome(
+        reference_fused,
+        sorted(arcs, key=CausalArc.sort_key),
+        [sub.arcs for sub in sorted(subducgs, key=lambda sub: sub.root)],
+    )
+    return None if got == want else (got, want)
+
+
 def test_mutated_kbs_raise_only_coded_errors(tmp_path):
     docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
-    escapes = {}
+    escapes, mismatches = {}, {}
     for seed in range(MUTATIONS):
         rng = random.Random(seed)
         text = json.dumps(mutate(rng.choice(docs), rng))
@@ -78,4 +119,8 @@ def test_mutated_kbs_raise_only_coded_errors(tmp_path):
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
             escapes.setdefault(where, []).append(seed)
+        mismatch = fusion_mismatch(text)
+        if mismatch is not None:
+            mismatches[seed] = mismatch
     assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
+    assert not mismatches, dict(list(mismatches.items())[:3])
