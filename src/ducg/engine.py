@@ -239,49 +239,6 @@ def _families(arcs: Iterable[CausalArc]) -> dict[int, list[tuple[CausalArc, floa
 # --- symbolic expansion ----------------------------------------------------------
 
 
-@dataclass
-class _Term:
-    """One partially expanded product. ``pending`` holds X literals still to
-    be rewritten into cause routes, each with the variables of its causal
-    chain; ``pinned`` remembers every state this term has committed to (for
-    exclusivity and expand-once idempotence)."""
-
-    roots: dict[int, int]
-    arcs: dict[int, ArcLiteral]  # keyed by child variable: one route per child
-    pending: dict[int, tuple[int, frozenset[int]]]
-    pinned: dict[int, int]
-
-    def clone(self) -> "_Term":
-        return _Term(
-            roots=dict(self.roots),
-            arcs=dict(self.arcs),
-            pending=dict(self.pending),
-            pinned=dict(self.pinned),
-        )
-
-
-def _absorb(
-    term: _Term, kb: KnowledgeBase, var: int, state: int, chain: frozenset[int]
-) -> bool:
-    """Multiply a variable-state literal into ``term``. False = annihilated."""
-    seen = term.pinned.get(var)
-    if seen is not None and seen != state:
-        return False  # exclusivity: two states of one variable
-    kind = kb.variables[var].kind
-    if kind in ROOT_KINDS:
-        term.roots[var] = state
-        term.pinned[var] = state
-        return True
-    if seen is None:
-        term.pending[var] = (state, chain)
-        term.pinned[var] = state
-    elif var in term.pending:
-        old_state, old_chain = term.pending[var]
-        term.pending[var] = (old_state, old_chain | chain)
-    # else: already expanded in this term — idempotent, nothing to add
-    return True
-
-
 def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
     """Rewrite the evidence states of slice ``g`` into root-cause terms.
 
@@ -292,59 +249,68 @@ def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
     own causal chain are not simple chains and are skipped. Evidenced normal
     variables with no retained cause contribute probability 1 and vanish;
     abnormal literals with no cause route annihilate their term.
+
+    A partial term is three maps: ``pinned``, the state of every variable it
+    committed to, roots included (a second state of one annihilates it);
+    ``arcs``, each expanded child's cause route; and ``pending``, each
+    variable still to be rewritten with the variables of its causal chain,
+    its state in ``pinned``. A branch builds only the maps it changes and
+    shares the others, so no map is changed once built.
     """
     families = _families(g.arcs)
-
-    seed = _Term(roots={}, arcs={}, pending={}, pinned={})
-    for var, state in g.states.items():
-        if not _absorb(seed, kb, var, state, frozenset({var})):
-            return EventExpression.make([])
+    is_root = {v: kb.variables[v].kind in ROOT_KINDS for v in g.variables}
+    pending = {v: frozenset({v}) for v in g.states if not is_root[v]}
 
     finished: list[Optional[Product]] = []
-    worklist = [seed]
+    worklist = [(g.states, {}, pending)]
     steps = 0
     while worklist:
         steps += 1
         if steps > _EXPANSION_STEP_LIMIT:
             raise CycleLimitError("expansion step limit exceeded")
-        term = worklist.pop()
-        if not term.pending:
+        pinned, arcs, pending = worklist.pop()
+        if not pending:
             finished.append(
                 Product.make(
-                    (RootLiteral(v, s) for v, s in term.roots.items()),
-                    term.arcs.values(),
+                    (RootLiteral(v, s) for v, s in pinned.items() if is_root[v]),
+                    arcs.values(),
                 )
             )
             continue
-        var = min(term.pending)
-        state, chain = term.pending.pop(var)
+        var = min(pending)
+        state, chain = pinned[var], pending[var]
+        rest = {v: c for v, c in pending.items() if v != var}
 
-        routes: list[tuple[ArcLiteral, int, int]] = []
+        caused = False
         for arc, share, parallel in families.get(var, ()):
-            if arc.parent in chain:
+            parent = arc.parent
+            if parent in chain:
                 continue  # not a simple causal chain
-            parent = kb.variables[arc.parent]
-            for j in parent.state_ids:
-                if parent.kind == "D" and j == 0:
+            parent_var = kb.variables[parent]
+            for j in parent_var.state_ids:
+                if parent_var.kind == "D" and j == 0:
                     continue  # a default cause is always present
                 intensity = completed_intensity(arc, state, j)
                 if intensity == 0.0:
                     continue
-                lit = ArcLiteral(var, state, arc.parent, j, share, intensity, parallel)
-                routes.append((lit, arc.parent, j))
+                caused = True
+                seen = pinned.get(parent)
+                if seen is not None and seen != j:
+                    continue  # exclusivity: two states of one variable
+                if is_root[parent] or (seen is not None and parent not in rest):
+                    queued = rest  # a root, or expanded already in this term
+                else:  # newly pending, or pending already: the chains join
+                    queued = {**rest, parent: rest.get(parent, frozenset()) | chain | {parent}}
+                lit = ArcLiteral(var, state, parent, j, share, intensity, parallel)
+                worklist.append((
+                    pinned if seen is not None else {**pinned, parent: j},
+                    {**arcs, var: lit},
+                    queued,
+                ))
 
-        if not routes:
-            if state == 0:
-                worklist.append(term)  # uncaused normal observation: probability 1
-            # uncaused abnormal observation: the term annihilates
-            continue
-
-        for lit, parent, j in routes:
-            branch = term.clone()
-            branch.arcs[var] = lit  # a term expands each variable once
-            if not _absorb(branch, kb, parent, j, chain | {parent}):
-                continue
-            worklist.append(branch)
+        if not caused and state == 0:
+            worklist.append((pinned, arcs, rest))  # uncaused normal observation: probability 1
+        # an uncaused abnormal observation annihilates the term
 
     return EventExpression.make(finished)
 
