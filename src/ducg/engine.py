@@ -23,19 +23,18 @@ then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session keeps one record per alive root (its subgraph and latest layer)
-and one memo, keyed on the snapshot's assignments, of its ``_MEMO_SIZE``
-most recently used evidence patterns. An entry holds the ranking's tuples
-(hypotheses, status and evidence) and, for each ranked root, the slice
-``simplify`` built, its ζ and its joints. Equal keys are the same evidence,
-so a stored slice is the one ``simplify`` would build again, and a
-chattering channel is sliced and evaluated once per pattern. When a pattern
-comes back and every root it ranked is still alive, the tick is a lookup;
-when some have left since, the rest are ranked again from their stored ζ
-and joints. Either way nothing is sliced or evaluated, and each ranked root
-takes a layer holding its stored slice as it is. A lookup's report reuses
-the stored tuples, so equal rankings are identical objects. A tick changes
-no record until it is ranked.
+A session keeps two maps over its alive roots, each root's subgraph and
+its latest layer, and one memo, keyed on the snapshot's assignments, of its
+``_MEMO_SIZE`` most recently used evidence patterns. An entry holds the
+ranking's tuples (hypotheses, status and evidence) and, for each ranked
+root, the slice ``simplify`` built. Equal keys are the same evidence, so a
+stored slice is the one ``simplify`` would build again, and a chattering
+channel is sliced and evaluated once per pattern. When a pattern comes back
+and every root it ranked is still alive, the tick is a lookup: nothing is
+sliced or evaluated, each ranked root takes a layer holding its stored slice
+as it is, and the report reuses the stored tuples, so equal rankings are
+identical objects. Any other tick is ranked afresh over the alive roots and
+its ranking replaces the entry. A tick changes no state until it is ranked.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -564,15 +563,6 @@ class DiagnosisReport:
 _MEMO_SIZE = 16
 
 
-@dataclass
-class _Root:
-    """One alive root: its subgraph and its latest layer (None until the root
-    explains a tick)."""
-
-    sub: SubDUCG
-    cubic: Optional[CubicGraph] = None
-
-
 class DiagnosisSession:
     """Stateful multi-tick diagnosis over one knowledge base.
 
@@ -589,18 +579,19 @@ class DiagnosisSession:
             raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
         # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
-        self._roots: dict[int, _Root] = {s.root: _Root(s) for s in decompose(kb)}
-        # evidence key -> ({ranked root: (slice, ζ, joints)}, hypotheses, status,
-        # abnormal, normal), least recently used first
+        self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
+        # each alive root's latest layer, once a tick is ranked
+        self._layers: dict[int, CubicGraph] = {}
+        # evidence key -> ({ranked root: slice}, hypotheses, status, abnormal,
+        # normal), least recently used first
         self._memo: OrderedDict = OrderedDict()
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
-        return tuple(self._roots)
+        return tuple(self._subs)
 
     def cubic(self, root: int) -> Optional[CubicGraph]:
-        record = self._roots.get(root)
-        return record.cubic if record is not None else None
+        return self._layers.get(root)
 
     def diagnose_tick(self, ev: EvidenceSnapshot) -> DiagnosisReport:
         """Explain one triggering snapshot; shrink the hypothesis space."""
@@ -609,21 +600,19 @@ class DiagnosisSession:
         # key is stored only once no root is alive and a hit hides no error.
         key = frozenset(ev.assignments.items())
         entry = self._memo.get(key)
-        # On a hit the alive roots are among those the entry ranked, as the
+        # The alive roots are among those a stored entry ranked, as the
         # hypothesis space only shrinks, and a root it left out added nothing
         # to ξ (its slice is invalid or ζ = 0: a normal root leaves every
         # observation normal, so ζ > 0 gives an abnormal joint > 0). If none
-        # has left since, the entry is this tick's ranking as it is.
-        if entry is None or len(entry[0]) != len(self._roots):
-            if entry is None:
-                evaluated = {}  # no record changes until ranked
-                for root, record in self._roots.items():
-                    s = simplify(record.sub, ev)
-                    if s.valid and check_valid(s, ev):
-                        evaluated[root] = (s, *evaluate(s, self.kb))
-            else:  # some have left: rank the rest from their stored triples
-                evaluated = {root: entry[0][root] for root in self._roots}
-            hypotheses = tuple(rank_hypotheses([(root, *t[1:]) for root, t in evaluated.items()]))
+        # has left, the entry is this tick's ranking; else it is ranked afresh.
+        if entry is None or len(entry[0]) != len(self._subs):
+            slices, evaluated = {}, []  # no state changes until ranked
+            for root, sub in self._subs.items():
+                s = simplify(sub, ev)
+                if s.valid and check_valid(s, ev):
+                    slices[root] = s
+                    evaluated.append((root, *evaluate(s, self.kb)))
+            hypotheses = tuple(rank_hypotheses(evaluated))
             ranked_roots = {h.root for h in hypotheses}
             if len(ranked_roots) == 1:
                 status = "diagnosed"
@@ -632,7 +621,7 @@ class DiagnosisSession:
             else:
                 status = "unexplained"
             entry = (
-                {root: t for root, t in evaluated.items() if root in ranked_roots},
+                {root: s for root, s in slices.items() if root in ranked_roots},
                 hypotheses,
                 status,
                 tuple(ev.abnormal_items()),
@@ -643,9 +632,8 @@ class DiagnosisSession:
         if len(self._memo) > _MEMO_SIZE:
             self._memo.popitem(last=False)
         ranked, hypotheses, status, abnormal, normal = entry
-        self._roots = {root: self._roots[root] for root in ranked}
-        for root, record in self._roots.items():
-            record.cubic = merge_cubic(ranked[root][0], ev.tick)
+        self._subs = {root: self._subs[root] for root in ranked}
+        self._layers = {root: merge_cubic(s, ev.tick) for root, s in ranked.items()}
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)
 

@@ -583,7 +583,7 @@ def _fresh_reports(kb, snapshots):
     for ev in snapshots:
         fresh = DiagnosisSession(kb)
         if alive is not None:
-            fresh._roots = {r: record for r, record in fresh._roots.items() if r in alive}
+            fresh._subs = {r: sub for r, sub in fresh._subs.items() if r in alive}
         reports.append(fresh.diagnose_tick(ev))
         alive = fresh.alive_roots
     return _report_fields(reports)
@@ -705,29 +705,42 @@ def test_memo_hits_reuse_the_stored_slice_object(tworoot_kb):
             assert session.cubic(r).tick == t
 
 
-def test_a_tick_that_raises_mid_evaluation_commits_nothing(tworoot_kb, monkeypatch):
-    """Evaluating the second root of a missed tick raises: no root keeps a
+@pytest.mark.parametrize(
+    "fed, failing, evaluated",
+    [
+        ((T1,), T2, [1, 2]),  # a new pattern: the second root's evaluation raises
+        ((T1, T3), T1, [2]),  # a repeat after B1 left: its stale entry stays
+    ],
+    ids=["new-pattern", "repeat-after-a-root-left"],
+)
+def test_a_tick_that_raises_mid_evaluation_commits_nothing(
+    tworoot_kb, monkeypatch, fed, failing, evaluated
+):
+    """Evaluating the last alive root of a missed tick raises: no root keeps a
     new cubic graph, the memo keeps its keys and entries, and the hypothesis
     space stays as it was."""
     session = DiagnosisSession(tworoot_kb)
-    session.diagnose_tick(snapshot(1, T1))
-    before = {r: session.cubic(r) for r in session.alive_roots}
+    for t, assignments in enumerate(fed, 1):
+        session.diagnose_tick(snapshot(t, assignments))
+    alive = session.alive_roots
+    before = {r: session.cubic(r) for r in alive}
     memo = list(session._memo.items())
-    assert set(before) == {1, 2} and [key for key, _ in memo] == [frozenset(T1.items())]
+    assert set(before) == set(evaluated)
+    assert [key for key, _ in memo] == [frozenset(a.items()) for a in fed]
 
     real, calls = ducg.engine.evaluate, []
 
-    def second_call_raises(g, kb):
+    def last_call_raises(g, kb):
         calls.append(g.root)
-        if len(calls) == 2:
+        if len(calls) == len(evaluated):
             raise RuntimeError("evaluation failed")
         return real(g, kb)
 
-    monkeypatch.setattr(ducg.engine, "evaluate", second_call_raises)
+    monkeypatch.setattr(ducg.engine, "evaluate", last_call_raises)
     with pytest.raises(RuntimeError):
-        session.diagnose_tick(snapshot(2, T2))
-    assert calls == [1, 2]
-    assert session.alive_roots == (1, 2)
+        session.diagnose_tick(snapshot(len(fed) + 1, failing))
+    assert calls == evaluated
+    assert session.alive_roots == alive
     for r, cubic in before.items():
         assert session.cubic(r) is cubic
     assert list(session._memo.items()) == memo
@@ -744,8 +757,9 @@ def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot
 @pytest.mark.parametrize("with_default_cause", [False, True])
 def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, monkeypatch):
     """200 random KBs, each fed 12 ticks drawn from three evidence patterns.
-    Some patterns repeat after a root they ranked has left, so the memo's
-    entry must be ranked again over the roots still alive."""
+    Some patterns repeat after a root they ranked has left: such a repeat
+    misses the memo and is ranked afresh over the roots still alive, while
+    every other repeat is a lookup."""
     calls = _counting(monkeypatch)
     memoised = uncached = repeats_after_a_ranked_root_left = 0
     for seed in range(200):
@@ -774,9 +788,9 @@ def test_memoised_session_equals_uncached_on_random_streams(with_default_cause, 
 @pytest.mark.parametrize("make_kb", [random_kb, random_cyclic_kb])
 @pytest.mark.parametrize("with_default_cause", [False, True])
 def test_a_valid_slice_of_positive_zeta_has_an_abnormal_joint(make_kb, with_default_cause):
-    """What lets the memo reuse a ranking once roots have left: a root left
-    out of a ranking added nothing to ξ. A valid slice with ζ > 0 always has
-    a hypothesis, since a normal root leaves every observation normal."""
+    """What lets a full memo hit reuse a stored ranking: a root the entry
+    left out added nothing to Σζ. A valid slice with ζ > 0 always has a
+    hypothesis, since a normal root leaves every observation normal."""
     positive = 0
     for seed in range(400):
         rng = random.Random(seed)
@@ -841,20 +855,23 @@ def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
 
 
 def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb, monkeypatch):
-    """B1 leaves on T3; T1's entry keeps it until T1 comes back, and that hit
-    ranks B2 alone from its stored ζ and joints and drops B1 from the entry."""
+    """B1 leaves on T3; T1's entry keeps it until T1 comes back. That repeat
+    misses: it slices, checks and evaluates B2 alone, and its ranking
+    replaces the entry, so the next repeat is a lookup."""
     key = frozenset(T1.items())
+    snapshots = [snapshot(1, T1), snapshot(2, T3), snapshot(3, T1), snapshot(4, T1)]
+    expected = _fresh_reports(tworoot_kb, snapshots)
     session = DiagnosisSession(tworoot_kb)
-    session.diagnose_tick(snapshot(1, T1))
-    assert set(session._roots) == {1, 2} and tuple(session._memo[key][0]) == (1, 2)
-    session.diagnose_tick(snapshot(2, T3))
-    assert session.alive_roots == (2,)
-    assert set(session._roots) == {2} and tuple(session._memo[key][0]) == (1, 2)
+    reports = [session.diagnose_tick(ev) for ev in snapshots[:2]]
+    assert session.alive_roots == (2,) and tuple(session._memo[key][0]) == (1, 2)
     calls = {name: _counting(monkeypatch, name) for name in ("simplify", "check_valid", "evaluate")}
-    report = session.diagnose_tick(snapshot(3, T1))
-    assert calls == dict.fromkeys(calls, [])
-    assert {h.root for h in report.hypotheses} == {2}
+    reports.append(session.diagnose_tick(snapshots[2]))
+    assert calls == dict.fromkeys(calls, [2])
     assert tuple(session._memo[key][0]) == (2,)
+    reports.append(session.diagnose_tick(snapshots[3]))
+    assert calls == dict.fromkeys(calls, [2])
+    assert reports[3].hypotheses is reports[2].hypotheses
+    assert _report_fields(reports) == expected
 
 
 def test_long_session_memory_is_bounded(tworoot_kb):
