@@ -16,8 +16,9 @@ then ranked:
   evaluated once for ζ and once per fault state. It takes every cyclic slice,
   since its record of each literal's causal chain is what defines a cycle's
   meaning, and every slice whose route bound (the most products it can build)
-  is at most ``_EXPAND_MAX_ROUTES``: there it is the cheaper of the two, and
-  its summation order is the one the recorded fixture outputs hold;
+  is at most ``_EXPAND_MAX_ROUTES``. That cutoff keeps the summation order the
+  recorded fixture outputs hold; it is not a speed rule, since
+  ``factored_joints`` is faster on those small slices too;
 * ``factored_joints`` runs variable elimination on the slice read as a
   causal network and returns every joint in one pass. It takes the other,
   larger acyclic slices, where the expression would grow exponentially with
@@ -316,9 +317,9 @@ def expand(g: SliceGraph, kb: KnowledgeBase) -> EventExpression:
 
 # --- factored evaluation -----------------------------------------------------------
 
-# Slices whose route bound is at most this stay on ``expand``: it costs less
-# per call there, and its summation order is the one the recorded fixture
-# outputs hold (the largest fixture slice has a route bound of 54).
+# Slices whose route bound is at most this stay on ``expand``, so they keep the
+# summation order the recorded fixture outputs hold (the largest fixture slice
+# has a route bound of 54). Elimination would be faster on them too.
 _EXPAND_MAX_ROUTES = 64
 
 
@@ -605,7 +606,9 @@ class DiagnosisSession:
         # to ξ (its slice is invalid or ζ = 0: a normal root leaves every
         # observation normal, so ζ > 0 gives an abnormal joint > 0). If none
         # has left, the entry is this tick's ranking; else it is ranked afresh.
-        if entry is None or len(entry[0]) != len(self._subs):
+        if entry is not None and len(entry[0]) == len(self._subs):
+            self._memo.move_to_end(key)  # most recently used last
+        else:
             slices, evaluated = {}, []  # no state changes until ranked
             for root, sub in self._subs.items():
                 s = simplify(sub, ev)
@@ -627,12 +630,13 @@ class DiagnosisSession:
                 tuple(ev.abnormal_items()),
                 tuple(ev.normal_items()),
             )
-        self._memo.pop(key, None)  # most recently used last
-        self._memo[key] = entry
-        if len(self._memo) > _MEMO_SIZE:
-            self._memo.popitem(last=False)
+            self._memo[key] = entry
+            self._memo.move_to_end(key)  # assignment leaves a stale key in its place
+            if len(self._memo) > _MEMO_SIZE:
+                self._memo.popitem(last=False)
         ranked, hypotheses, status, abnormal, normal = entry
-        self._subs = {root: self._subs[root] for root in ranked}
+        if len(ranked) != len(self._subs):  # a root left
+            self._subs = {root: self._subs[root] for root in ranked}
         self._layers = {root: merge_cubic(s, ev.tick) for root, s in ranked.items()}
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)

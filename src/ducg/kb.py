@@ -66,7 +66,7 @@ class Variable:
     prior: Mapping[int, float] | None = None
     measure_point: str | None = None
 
-    # Computed on first read and kept: the evaluators read both in hot loops.
+    # Computed on first read and kept: the evaluators and the gateway read them in hot loops.
     # The cache sits outside the fields, so ==, hash and repr ignore it.
     @cached_property
     def state_ids(self) -> tuple[int, ...]:
@@ -75,6 +75,11 @@ class Variable:
     @cached_property
     def abnormal_state_ids(self) -> tuple[int, ...]:
         return tuple(s.state_id for s in self.states if s.state_id != 0)
+
+    @cached_property
+    def bands(self) -> tuple[tuple[float, float, int], ...]:
+        """``(lower, upper, state_id)`` of each gauged state, in declared order."""
+        return tuple((*s.interval, s.state_id) for s in self.states if s.interval is not None)
 
     def state(self, state_id: int) -> StateDef:
         for s in self.states:

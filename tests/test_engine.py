@@ -854,6 +854,21 @@ def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
     assert list(session._memo)[-2:] == [frozenset(patterns[i].items()) for i in (0, 1)]
 
 
+def test_a_hit_and_a_re_ranked_pattern_become_the_most_recently_used(tworoot_kb):
+    """A full hit moves its pattern last in the memo. So does a stale entry
+    ranked again once one of its roots left: it does not keep its place."""
+    t1, t2, t3 = (frozenset(t.items()) for t in (T1, T2, T3))
+    session = DiagnosisSession(tworoot_kb)
+    for tick, pattern in enumerate((T1, T2, T1), start=1):
+        session.diagnose_tick(snapshot(tick, pattern))
+    assert list(session._memo) == [t2, t1]
+    session.diagnose_tick(snapshot(4, T3))  # B1 leaves
+    assert list(session._memo) == [t2, t1, t3] and session.alive_roots == (2,)
+    session.diagnose_tick(snapshot(5, T1))  # T1's entry ranked B1: ranked again
+    assert list(session._memo) == [t2, t3, t1]
+    assert tuple(session._memo[t1][0]) == (2,)
+
+
 def test_memo_forgets_roots_that_leave_the_hypothesis_space(tworoot_kb, monkeypatch):
     """B1 leaves on T3; T1's entry keeps it until T1 comes back. That repeat
     misses: it slices, checks and evaluates B2 alone, and its ranking

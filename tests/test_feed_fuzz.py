@@ -1,6 +1,7 @@
 """Seeded mutations of the fixture signal feeds never end in a traceback:
 ``cli._run_feed`` warns about what it cannot read and goes on, exits 0 or 2,
-and writes only JSON lines."""
+and writes only JSON lines. Each mutated feed also reads, byte for byte,
+as the frozen copy of the gateway in ``gateway_reference`` reads it."""
 
 import io
 import json
@@ -8,8 +9,13 @@ import random
 import traceback
 from pathlib import Path
 
+import pytest
+
+import ducg.cli
 from ducg import DiagnosisSession, parse_kb
 from ducg.cli import _run_feed
+
+import gateway_reference
 
 DATA = Path(__file__).parent / "data"
 FEEDS = (
@@ -73,12 +79,16 @@ def _strict(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def test_mutated_feeds_end_in_warnings_not_tracebacks():
-    feeds = [
+@pytest.fixture(scope="module")
+def feeds():
+    return [
         (parse_kb((DATA / kb).read_text(encoding="utf-8")),
          (DATA / signals).read_text(encoding="utf-8").splitlines())
         for kb, signals in FEEDS
     ]
+
+
+def test_mutated_feeds_end_in_warnings_not_tracebacks(feeds):
     escapes, reports = {}, 0
     for seed in range(MUTATIONS):
         rng = random.Random(seed)
@@ -103,3 +113,28 @@ def test_mutated_feeds_end_in_warnings_not_tracebacks():
             escapes.setdefault(where, []).append(seed)
     assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
     assert reports > MUTATIONS  # the mutations left most feeds readable
+
+
+def test_mutated_feeds_read_as_the_frozen_gateway_reads_them(feeds, monkeypatch):
+    """The same mutated feeds replayed once through the gateway and once
+    through its frozen copy write the same stdout and stderr bytes and
+    exit with the same code."""
+
+    def replay(kb, lines, flags):
+        out, err = io.StringIO(), io.StringIO()
+        code = _run_feed(DiagnosisSession(kb), lines, out, err, with_timing=False, **flags)
+        return code, out.getvalue(), err.getvalue()
+
+    warned = 0
+    for seed in range(MUTATIONS):
+        rng = random.Random(seed)
+        kb, lines = rng.choice(feeds)
+        lines = mutate(lines, rng)
+        flags = {"verbose": rng.random() < 0.5, "recovery_retrigger": rng.random() < 0.5}
+        got = replay(kb, lines, flags)
+        with monkeypatch.context() as patched:
+            patched.setattr(ducg.cli, "iter_reading_groups", gateway_reference.iter_reading_groups)
+            patched.setattr(ducg.cli, "ingest_tick", gateway_reference.ingest_tick)
+            assert got == replay(kb, lines, flags), seed
+        warned += "warning" in got[2]
+    assert warned > MUTATIONS // 2  # most feeds reach the error paths

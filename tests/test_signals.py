@@ -1,10 +1,13 @@
 """Signal gateway: reading parsing, interval mapping, trigger semantics."""
 
+import math
 import random
+import sys
 
 import pytest
 
 from ducg import (
+    DucgError,
     EvidenceSnapshot,
     KnowledgeBase,
     MalformedLineError,
@@ -17,6 +20,9 @@ from ducg import (
     map_reading,
     parse_signal_record,
 )
+
+import gateway_reference
+from test_feed_fuzz import INSERTS, JUNK
 
 
 def test_parse_signal_record():
@@ -201,6 +207,24 @@ def test_ingest_last_reading_wins(tworoot_kb):
 
 
 @pytest.mark.parametrize("retrigger", [True, False])
+@pytest.mark.parametrize(
+    "before,batch",
+    [
+        ([("MP05", 0.5)], [("MP05", 3.2), ("MP05", 0.5)]),  # normal, abnormal, normal
+        ([("MP05", 3.2)], [("MP05", 0.5), ("MP05", 3.2)]),  # abnormal, normal, abnormal
+        ([("MP05", 0.5), ("MP06", 0.5)], [("MP05", 3.2), ("MP06", 0.1), ("MP05", 0.5)]),
+    ],
+)
+def test_ingest_a_channel_read_back_to_its_state_has_not_changed(tworoot_kb, retrigger, before, batch):
+    """A channel that leaves its state and comes back to it within one batch
+    did not change: the tick triggers nothing and its snapshot is the fold."""
+    prev, _ = ingest_tick(None, 1, before, tworoot_kb)
+    snap, trig = ingest_tick(prev, 2, batch, tworoot_kb, retrigger_on_recovery=retrigger)
+    assert not trig
+    assert snap == EvidenceSnapshot.build(2, prev.assignments)
+
+
+@pytest.mark.parametrize("retrigger", [True, False])
 def test_ingest_equals_a_fold_from_scratch_on_random_streams(retrigger):
     """``ingest_tick`` moves only the variables a tick changed; each snapshot
     and trigger must equal a rebuild from every reading so far, with the
@@ -305,3 +329,157 @@ def test_iter_reading_groups_raises_without_on_error(lines, message):
     with pytest.raises(MalformedLineError) as excinfo:
         list(iter_reading_groups(lines))
     assert str(excinfo.value) == message
+
+
+# --- the gateway against its frozen copy -------------------------------------------
+
+# Padding that ``strip``, ``int`` and ``float`` all take for whitespace.
+PADS = ("", " ", "\t", "\xa0", "\u2003")
+TICK_FIELDS = ("14", "0", "-0", "+5", "1_0", "\u0661\u0662", "-1", "1.5", "x", "", "9" * 40, "0x10")
+POINT_FIELDS = ("MP05", "MP99", "", "mp05", "M P")
+VALUE_FIELDS = ("3.2", "1", "1.0", "-1", "10", "+5", "1_0", "\u0661\u0662", "1e400", "nan", "-inf", "", "x")
+SHAPES = (
+    "14", "14,MP05", "14,MP05,", "14,MP05,3.2,", ",14,MP05,3.2", "14,,MP05,3.2",
+    "14,MP05,3.2,4", "14;MP05;3.2", ",", ",,", ",,,",
+)
+# Headers in any case, and lines that only look like one: the Kelvin sign
+# lowers to "k", and "İ" lowers to two characters.
+HEADERS = (
+    "tick,measure_point,value", "TICK,MP05,3.2", "Tick,x", "tIcK,", " tick,1,2",
+    "TIC\u212a,1,2", "\u212aick,1,2", "T\u0130CK,1,2", "tick", "ticks,1,2", "TICK ,1,2",
+)
+
+
+def _corpus():
+    lines = [
+        f"{pad}{t}{pad},{pad}{p}{pad},{pad}{v}{pad}"
+        for t in TICK_FIELDS for p in POINT_FIELDS for v in VALUE_FIELDS for pad in PADS
+    ]
+    for junk in JUNK:
+        for i in range(3):
+            fields = ["14", "MP05", "3.2"]
+            fields[i] = junk
+            lines.append(",".join(fields))
+    return lines + [*INSERTS, *SHAPES, *HEADERS]
+
+
+def test_only_t_and_T_lower_to_a_t():
+    """What lets the grouper lower only lines starting "t" or "T" to spot a
+    header: no other character lowers to a string starting "t", and none
+    lowers to nothing."""
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    assert [c for c in chars if c.lower()[:1] == "t"] == ["T", "t"]
+    assert all(c.lower() for c in chars)
+
+
+def _described(exc):
+    """An error's type, text and attributes (column, measure point)."""
+    return type(exc), str(exc), vars(exc)
+
+
+def _outcome(call, *args, **kwargs):
+    """The ``repr`` of what ``call`` returns, or of the error it raises."""
+    try:
+        return repr(call(*args, **kwargs))
+    except DucgError as exc:
+        return repr(_described(exc))
+
+
+def test_parse_signal_record_equals_the_frozen_gateway():
+    """Each corpus line, as given and stripped as the grouper strips it,
+    parses to the same tuple or fails with the same text and column. The
+    fast path returns only lines the checks accept, so the lines the frozen
+    copy rejects are the ones that reach the checks: a floor on each column
+    keeps that path exercised."""
+    rejected = {}
+    for line in _corpus():
+        for given in (line, line.strip()):
+            want = _outcome(gateway_reference.parse_signal_record, given)
+            assert _outcome(parse_signal_record, given) == want, repr(given)
+        try:
+            gateway_reference.parse_signal_record(line)
+        except MalformedLineError as exc:
+            rejected[exc.column] = rejected.get(exc.column, 0) + 1
+    floors = {0: 15, 1: 1600, 2: 450, 3: 700}
+    assert all(rejected.get(column, 0) >= n for column, n in floors.items()), rejected
+
+
+@pytest.mark.parametrize("order", ["as built", "shuffled", "sorted"])
+def test_iter_reading_groups_equals_the_frozen_gateway(order):
+    """The corpus as one feed groups into the same batches with the same
+    reported lines; and each line after a good one raises as the frozen
+    copy raises when nothing is reported."""
+    lines = _corpus()
+    if order == "shuffled":
+        random.Random(5).shuffle(lines)
+    elif order == "sorted":
+        lines.sort()
+
+    def run(grouper):
+        errors = []
+        groups = list(grouper(lines, on_error=lambda n, e: errors.append((n, _described(e)))))
+        return repr(groups), errors
+
+    assert run(iter_reading_groups) == run(gateway_reference.iter_reading_groups)
+    if order == "as built":
+        for line in lines:
+            feed = ["1,MP05,0.0", line]
+            want = _outcome(lambda: list(gateway_reference.iter_reading_groups(feed)))
+            assert _outcome(lambda: list(iter_reading_groups(feed))) == want, repr(line)
+
+
+def test_map_reading_equals_the_frozen_gateway(tworoot_kb, plant_kb):
+    """Every gauged variable of both fixture KBs, and one whose intervals
+    overlap, maps each bound, its neighbours and non-finite values alike."""
+    overlapping = Variable(
+        id=9, kind="X", label="overlapping",
+        states=(
+            StateDef(0, "normal", "normal", (0.0, 5.0)),
+            StateDef(1, "high", "abnormal", (-1.0, 10.0)),
+            StateDef(2, "unmapped", "abnormal"),
+        ),
+        measure_point="P9",
+    )
+    ungauged = Variable(id=8, kind="X", label="ungauged", states=(StateDef(0, "n", "normal"),))
+    variables = [*tworoot_kb.variables.values(), *plant_kb.variables.values(), overlapping, ungauged]
+    gauged = 0
+    for var in variables:
+        values = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+        for s in var.states:
+            for bound in s.interval or ():
+                values += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+        for value in values:
+            want = _outcome(gateway_reference.map_reading, var, value)
+            assert _outcome(map_reading, var, value) == want, (var.id, value)
+        gauged += bool(var.bands)
+    assert gauged == 5 + 5 + 1  # each fixture KB's gauges and the overlapping one
+    assert map_reading(overlapping, 3.0) == 0 and map_reading(overlapping, 7.0) == 1
+
+
+def _ingest(ingest, prev, tick, batch, kb, retrigger, report):
+    """The snapshot to go on from, and the ``repr`` of the outcome."""
+    errors = []
+    on_error = (lambda t, e: errors.append((t, _described(e)))) if report else None
+    try:
+        snap, trig = ingest(prev, tick, batch, kb, retrigger_on_recovery=retrigger, on_error=on_error)
+    except DucgError as exc:
+        return prev, repr((_described(exc), errors))
+    return snap, repr((snap, trig, errors))
+
+
+@pytest.mark.parametrize("retrigger", [True, False])
+def test_ingest_tick_equals_the_frozen_gateway(tworoot_kb, retrigger):
+    """Random batches over known, unknown and out-of-range readings give
+    the same snapshot, in the same assignment order, the same trigger and
+    the same reported errors, or raise the same error unreported."""
+    points = [*tworoot_kb.measure_points, "MP99"]
+    values = [-1.0, -0.5, 1.0, 1.5, 10.0, 11.0]
+    rng = random.Random(7)
+    for _ in range(300):
+        new = old = None
+        for tick in range(8):
+            batch = [(rng.choice(points), rng.choice(values)) for _ in range(rng.randint(0, 6))]
+            report = rng.random() < 0.8
+            new, got = _ingest(ingest_tick, new, tick, batch, tworoot_kb, retrigger, report)
+            old, want = _ingest(gateway_reference.ingest_tick, old, tick, batch, tworoot_kb, retrigger, report)
+            assert got == want, batch
