@@ -363,13 +363,16 @@ def _corpus():
     return lines + [*INSERTS, *SHAPES, *HEADERS]
 
 
-def test_only_t_and_T_lower_to_a_t():
-    """What lets the grouper lower only lines starting "t" or "T" to spot a
-    header: no other character lowers to a string starting "t", and none
-    lowers to nothing."""
-    chars = [chr(c) for c in range(sys.maxunicode + 1)]
-    assert [c for c in chars if c.lower()[:1] == "t"] == ["T", "t"]
-    assert all(c.lower() for c in chars)
+def test_no_character_lowers_to_nothing_or_into_a_header():
+    """What lets the grouper lower only a line's first five characters to
+    spot a header: no character lowers to nothing, and none that lowers to
+    several characters (such as "\u0130") could supply part of "tick,"."""
+    lowered = [chr(c).lower() for c in range(sys.maxunicode + 1)]
+    assert all(lowered)
+    header = "tick,"
+    for low in lowered:
+        if len(low) > 1:
+            assert all(header[i:i + len(low)] != low[:5 - i] for i in range(5)), repr(low)
 
 
 def _described(exc):
@@ -387,10 +390,9 @@ def _outcome(call, *args, **kwargs):
 
 def test_parse_signal_record_equals_the_frozen_gateway():
     """Each corpus line, as given and stripped as the grouper strips it,
-    parses to the same tuple or fails with the same text and column. The
-    fast path returns only lines the checks accept, so the lines the frozen
-    copy rejects are the ones that reach the checks: a floor on each column
-    keeps that path exercised."""
+    parses to the same tuple or fails with the same text and column. A
+    floor on the lines the frozen copy rejects in each column keeps every
+    check exercised."""
     rejected = {}
     for line in _corpus():
         for given in (line, line.strip()):
