@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import OrderedDict, deque
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Mapping
 
 from . import __version__
 from .algebra import RootLiteral
@@ -143,6 +142,16 @@ def _emit_report(
 # --- feed loop ------------------------------------------------------------------
 
 
+def _warn_on(err: IO[str], what: str) -> Callable[[int, Exception], None]:
+    """An ``on_error`` handler for a feed's ``what`` (line or tick) ``n``:
+    it prints ``warning: <what> <n>: <error>`` on ``err``."""
+
+    def warn(n: int, exc: Exception) -> None:
+        print(f"warning: {what} {n}: {exc}", file=err)
+
+    return warn
+
+
 def _run_feed(
     session: DiagnosisSession,
     lines: Iterable[str],
@@ -161,13 +170,8 @@ def _run_feed(
     drawn: dict[int, tuple[int, deque[CubicGraph]]] = {}  # root -> (layers so far, last ones)
     members: OrderedDict = OrderedDict()  # ``_report_line``'s cache, one per feed
 
-    def warn_line(line_no: int, exc: Exception) -> None:
-        print(f"warning: line {line_no}: {exc}", file=err)
-
-    def warn_tick(tick: int, exc: Exception) -> None:
-        print(f"warning: tick {tick}: {exc}", file=err)
-
-    for tick, readings in iter_reading_groups(lines, on_error=warn_line):
+    warn_tick = _warn_on(err, "tick")
+    for tick, readings in iter_reading_groups(lines, on_error=_warn_on(err, "line")):
         snapshot, trigger = ingest_tick(
             prev, tick, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
         )
@@ -278,23 +282,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         )
         return 1
     session = DiagnosisSession(kb)
-    with open(os.devnull, "w") as devnull:
-        _run_feed(
-            session,
-            lines,
-            devnull,
-            sys.stderr,
-            with_timing=False,
-            recovery_retrigger=not args.no_recovery_retrigger,
+    # the evidence of the last triggering tick, which an all-normal recovery
+    # is too, though it has nothing to diagnose; none before a trigger
+    states: Mapping[int, int] = {}
+    prev, warn_tick = None, _warn_on(sys.stderr, "tick")
+    for tick, readings in iter_reading_groups(lines, on_error=_warn_on(sys.stderr, "line")):
+        prev, trigger = ingest_tick(
+            prev, tick, readings, kb,
+            retrigger_on_recovery=not args.no_recovery_retrigger, on_error=warn_tick,
         )
+        if trigger:
+            states = prev.assignments
+            if prev.abnormal_set:
+                session.diagnose_tick(prev)
     if args.root not in session.alive_roots:
         print(
             f"error: root {args.root} is not in the surviving hypothesis space",
             file=sys.stderr,
         )
         return 2
-    cubic = session.cubic(args.root)
-    states = cubic.latest.states if cubic is not None else {}  # none before a trigger
     sub = next(s for s in decompose(kb) if s.root == args.root)
     rows = predict(sub, states, kb, RootLiteral(args.root, args.state))
     payload = {

@@ -56,6 +56,7 @@ import time
 from collections import OrderedDict
 from math import prod
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional
@@ -82,6 +83,7 @@ from .kb import (
     SubDUCG,
     completed_intensity,
     decompose,
+    reach,
     validate_kb,
 )
 from .signals import EvidenceSnapshot
@@ -134,36 +136,6 @@ def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[Causal
     return kept
 
 
-def _downstream(start: int, arcs: Iterable[CausalArc]) -> set[int]:
-    children: dict[int, list[int]] = {}
-    for arc in arcs:
-        children.setdefault(arc.parent, []).append(arc.child)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        var = frontier.pop()
-        for child in children.get(var, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
-
-
-def _upstream_of(targets: Iterable[int], arcs: Iterable[CausalArc]) -> set[int]:
-    parents: dict[int, list[int]] = {}
-    for arc in arcs:
-        parents.setdefault(arc.child, []).append(arc.parent)
-    seen = set(targets)
-    frontier = list(seen)
-    while frontier:
-        var = frontier.pop()
-        for parent in parents.get(var, ()):
-            if parent not in seen:
-                seen.add(parent)
-                frontier.append(parent)
-    return seen
-
-
 def _unexplained(ev: EvidenceSnapshot, reached: Collection[int]) -> tuple[int, ...]:
     """The slice-validity rule: the abnormal observations of ``ev`` not
     ``reached`` from the root, in id order. Every variable reached lies in
@@ -188,8 +160,13 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
         v: s for v, s in ev.assignments.items() if v in sub.variables
     }
     candidates = _candidate_arcs(sub, ev.assignments)
-    from_root = _downstream(sub.root, candidates)
-    to_evidence = _upstream_of(evidenced, candidates)
+    children: dict[int, list[int]] = {}
+    parents: dict[int, list[int]] = {}
+    for arc in candidates:
+        children.setdefault(arc.parent, []).append(arc.child)
+        parents.setdefault(arc.child, []).append(arc.parent)
+    from_root = reach((sub.root,), children)
+    to_evidence = reach(evidenced, parents)
     retained = tuple(
         a for a in candidates if a.parent in from_root and a.child in to_evidence
     )
@@ -215,7 +192,10 @@ def merge_cubic(new_slice: SliceGraph, tick: int) -> CubicGraph:
 
 def check_valid(g: SliceGraph, ev: EvidenceSnapshot) -> bool:
     """True iff slice ``g`` explains every abnormal observation of ``ev``."""
-    return not _unexplained(ev, _downstream(g.root, g.arcs))
+    children: dict[int, list[int]] = {}
+    for arc in g.arcs:
+        children.setdefault(arc.parent, []).append(arc.child)
+    return not _unexplained(ev, reach((g.root,), children))
 
 
 def _families(arcs: Iterable[CausalArc]) -> dict[int, list[tuple[CausalArc, float, int]]]:
@@ -649,14 +629,17 @@ def predict(
     sub: SubDUCG, states: Mapping[int, int], kb: KnowledgeBase, hyp: RootLiteral
 ) -> list[tuple[int, int, float]]:
     """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph
-    ``sub``, given the evidence ``states`` observed on it (a slice's
-    ``states``, or nothing before the first trigger).
+    ``sub``, given the evidence ``states`` (a snapshot's assignments, of
+    which only ``sub``'s variables are read, or nothing before the first
+    trigger).
 
     Returns ``(var, state, probability)`` for every abnormal state of every
     variable of ``sub``, its B and D variables aside, that is not abnormal
     in ``states``, sorted by descending probability. Self-arcs are excluded, weight
     denominators use only the subgraph's own arcs, and a default cause is
-    always present, mirroring the conventions of diagnosis.
+    always present, mirroring the conventions of diagnosis. On a cycle whose
+    chains nest past the interpreter's recursion limit, raises
+    :class:`CycleLimitError`.
     """
     if hyp.var != sub.root:
         raise RootMismatchError(
@@ -664,20 +647,36 @@ def predict(
         )
     arcs = [a for a in sub.arcs if a.child != a.parent]
     families = _families(arcs)
-    # a chain's value reads ``seen`` only on the variable's ancestors, so that
-    # part of it keys the memo; on a DAG it is empty and each call runs once
-    ancestors = {
-        v: frozenset(_upstream_of([arc.parent for arc, _, _ in family], arcs))
-        for v, family in families.items()
-    }
+    parents = {v: [arc.parent for arc, _, _ in family] for v, family in families.items()}
+    children: dict[int, list[int]] = {}  # left empty on a DAG, where no variable is on a cycle
+    try:
+        order = list(TopologicalSorter(parents).static_order())
+    except CycleError:
+        order = []
+        for v, ps in parents.items():
+            for p in ps:
+                children.setdefault(p, []).append(v)
+    # A chain's value reads ``seen`` only on the variable's ancestors, so that
+    # part keys the memo. ``seen`` holds descendants of the variable alone, so
+    # the part is ``seen`` met with the variables on a cycle through it. On a
+    # DAG it is empty: each value is computed once, parents first, and no
+    # chain recurses past one arc.
+    on_cycle: dict[int, frozenset[int]] = {}  # shared by the members of a cycle
     memo: dict[tuple[int, int, frozenset[int]], float] = {}
+
+    def cycle_through(var: int) -> frozenset[int]:
+        if var not in on_cycle:
+            below = reach(children.get(var, ()), children)
+            found = frozenset(below & reach((var,), parents)) if var in below else frozenset()
+            on_cycle.update(dict.fromkeys(found or (var,), found))
+        return on_cycle[var]
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == hyp.var:
             return 1.0 if state == hyp.state else 0.0
         if kb.variables[var].kind == "D":
             return 1.0
-        key = (var, state, seen.intersection(ancestors.get(var, ())))
+        key = (var, state, seen.intersection(cycle_through(var)))
         if key in memo:
             return memo[key]
         total = 0.0
@@ -696,15 +695,23 @@ def predict(
         return total
 
     rows: list[tuple[int, int, float]] = []
-    for var_id in sorted(sub.variables):
-        var = kb.variables[var_id]
-        if var.kind in ROOT_KINDS:
-            continue
-        if states.get(var_id, 0) != 0:
-            continue  # already abnormal: nothing to predict
-        for state in var.abnormal_state_ids:
-            p = chain_probability(var_id, state, frozenset({var_id}))
-            if p > 0.0:
-                rows.append((var_id, state, p))
+    try:
+        for var_id in order:
+            for state in kb.variables[var_id].abnormal_state_ids:
+                chain_probability(var_id, state, frozenset({var_id}))
+        for var_id in sorted(sub.variables):
+            var = kb.variables[var_id]
+            if var.kind in ROOT_KINDS:
+                continue
+            if states.get(var_id, 0) != 0:
+                continue  # already abnormal: nothing to predict
+            for state in var.abnormal_state_ids:
+                p = chain_probability(var_id, state, frozenset({var_id}))
+                if p > 0.0:
+                    rows.append((var_id, state, p))
+    except RecursionError:  # only a cycle's chains recurse
+        raise CycleLimitError(
+            f"root {sub.root}: a causal cycle's chains nest too deep to forecast"
+        ) from None
     rows.sort(key=lambda row: (-row[2], row[0], row[1]))
     return rows

@@ -250,10 +250,6 @@ class KnowledgeBase:
         merged = _merge_arcs(self.doc_arcs, (sub.arcs for sub in self.subducgs))
         self.arcs: tuple[CausalArc, ...] = tuple(sorted(merged, key=CausalArc.sort_key))
 
-        self._parents: dict[int, list[CausalArc]] = {}
-        for arc in self.arcs:
-            self._parents.setdefault(arc.child, []).append(arc)
-
         self.measure_points: dict[str, int] = {}
         for v in self.variables.values():
             if v.measure_point and v.measure_point not in self.measure_points:
@@ -331,9 +327,11 @@ def parse_kb(text: str) -> KnowledgeBase:
     """Parse a knowledge-base JSON document.
 
     Raises :class:`KBSyntaxError` (with position) for malformed JSON or shape
-    problems, :class:`DuplicateVariableError` / :class:`UnknownReferenceError`
-    for id-level problems. Rule-level checks (probability sums, intervals,
-    kind restrictions) are the job of :func:`validate_kb`.
+    problems, and for arrays or objects nested deeper than the interpreter's
+    recursion limit lets it read; :class:`DuplicateVariableError` /
+    :class:`UnknownReferenceError` for id-level problems. Rule-level checks
+    (probability sums, intervals, kind restrictions) are the job of
+    :func:`validate_kb`.
     """
     try:
         doc = json.loads(text)
@@ -341,6 +339,8 @@ def parse_kb(text: str) -> KnowledgeBase:
         raise KBSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise KBSyntaxError("arrays or objects nest too deep to read") from None
     if not isinstance(doc, dict):
         raise KBSyntaxError("top-level value must be an object")
     version = doc.get("version", 1)
@@ -751,6 +751,18 @@ def compile_kb(
     return KnowledgeBase(variables, _merge_arcs((), (sub.arcs for sub in chosen)))
 
 
+def reach(starts: Iterable[int], step: Mapping[int, Iterable[int]]) -> set[int]:
+    """``starts`` and every variable the adjacency map ``step`` leads to."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for var in step.get(frontier.pop(), ()):
+            if var not in seen:
+                seen.add(var)
+                frontier.append(var)
+    return seen
+
+
 def decompose(kb: KnowledgeBase) -> list[SubDUCG]:
     """Split a knowledge base into one single-fault subgraph per B root.
 
@@ -759,25 +771,20 @@ def decompose(kb: KnowledgeBase) -> list[SubDUCG]:
     their support. Arc set: every arc whose two endpoints are in the closure.
     """
     subs: list[SubDUCG] = []
-    children_of: dict[int, list[CausalArc]] = {}
+    children: dict[int, list[int]] = {}
+    parent_arcs: dict[int, list[CausalArc]] = {}
     for arc in kb.arcs:
-        children_of.setdefault(arc.parent, []).append(arc)
+        children.setdefault(arc.parent, []).append(arc.child)
+        parent_arcs.setdefault(arc.child, []).append(arc)
 
     for root in kb.roots():
-        closure = {root}
-        frontier = [root]
-        while frontier:
-            var = frontier.pop()
-            for arc in children_of.get(var, ()):
-                if arc.child not in closure:
-                    closure.add(arc.child)
-                    frontier.append(arc.child)
+        closure = reach((root,), children)
         # keep default causes feeding the closure, visiting children in id
         # order: one that joins below the current child is not visited
         queue = sorted(closure)
         while queue:
             child = heapq.heappop(queue)
-            for arc in kb._parents.get(child, ()):
+            for arc in parent_arcs.get(child, ()):
                 if arc.parent not in closure and kb.variables[arc.parent].kind == "D":
                     closure.add(arc.parent)
                     if arc.parent > child:
@@ -785,7 +792,7 @@ def decompose(kb: KnowledgeBase) -> list[SubDUCG]:
         ordered = sorted(closure)
         members = {i: kb.variables[i] for i in ordered}
         arcs = tuple(
-            a for c in ordered for a in kb._parents.get(c, ()) if a.parent in closure
+            a for c in ordered for a in parent_arcs.get(c, ()) if a.parent in closure
         )
         subs.append(SubDUCG(root=root, variables=members, arcs=arcs))
     return subs

@@ -66,6 +66,40 @@ def test_validate_unparseable_file_exits_one(tmp_path):
     assert "line 1" in proc.stderr
 
 
+# A document nested 100,000 deep, whole and in its 'variables' field.
+NESTED = {
+    "lists": "[" * 100_000 + "]" * 100_000,
+    "variables": '{"variables": ' + "[" * 100_000 + "]" * 100_000 + "}",
+}
+NESTED_ERROR = "error: arrays or objects nest too deep to read\n"
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+@pytest.mark.parametrize("command", ["validate", "compile", "replay", "stream", "predict"])
+def test_a_deeply_nested_kb_is_a_syntax_error(tmp_path, capsys, command, shape):
+    from ducg.cli import main
+
+    kb = tmp_path / "deep.json"
+    kb.write_text(NESTED[shape])
+    signals = str(DATA / "tworoot_signals.csv")
+    argv = {
+        "validate": ["validate", str(kb)],
+        "compile": ["compile", str(kb), "-o", str(tmp_path / "out.json")],
+        "replay": ["replay", "--kb", str(kb), "--signals", signals],
+        "stream": ["stream", "--kb", str(kb)],
+        "predict": ["predict", "--kb", str(kb), "--signals", signals, "--root", "1", "--state", "1"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", NESTED_ERROR)
+
+
+def test_a_deeply_nested_kb_exits_one_without_a_traceback(tmp_path):
+    kb = tmp_path / "deep.json"
+    kb.write_text(NESTED["lists"])
+    proc = run_cli("validate", str(kb))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", NESTED_ERROR)
+
+
 # --- compile ----------------------------------------------------------------------
 
 
@@ -417,6 +451,46 @@ def test_predict_no_recovery_retrigger_keeps_the_recovery_tick_out(tmp_path):
         rows[flags] = {(p["var"], p["state"]): p["probability"] for p in json.loads(proc.stdout)["predictions"]}
     assert rows[()][(5, 1)] == pytest.approx(0.5)
     assert (5, 1) not in rows[("--no-recovery-retrigger",)]
+
+
+def test_predict_after_a_full_recovery_reads_the_recovery_tick(tmp_path):
+    """X5 turns abnormal, then every reading is normal again. The recovery
+    triggers but is not diagnosed, having nothing abnormal; the forecast
+    still reads its evidence and scores X5, as it would had X5 never been
+    abnormal."""
+    rows = []
+    for feed in ("1,MP05,2.0\n2,MP05,0.5\n", "1,MP05,0.5\n"):
+        signals = tmp_path / "recovery.csv"
+        signals.write_text(feed)
+        proc = run_cli(
+            "predict", "--kb", str(DATA / "tworoot_kb.json"), "--signals", str(signals),
+            "--root", "2", "--state", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows.append({(p["var"], p["state"]): p["probability"] for p in json.loads(proc.stdout)["predictions"]})
+    assert rows[0][(5, 1)] == pytest.approx(0.5)
+    assert rows[0] == rows[1]
+
+
+def test_predict_on_a_long_chain_exits_zero(tmp_path):
+    """A chain of 1,500 X variables whose ids descend from the root at 1501:
+    each X at distance d scores 0.9^d. ``stream`` reads the same KB."""
+    from ducg import CausalArc, KnowledgeBase, StateDef, Variable, serialize_kb
+
+    states = (StateDef(0, "normal", "normal"), StateDef(1, "high", "abnormal"))
+    ids = list(range(1501, 0, -1))
+    variables = {
+        v: Variable(id=v, kind="X" if d else "B", label="", states=states, prior=None if d else {1: 0.1})
+        for d, v in enumerate(ids)
+    }
+    arcs = [CausalArc(c, p, 1.0, {1: {1: 0.9}}) for c, p in zip(ids[1:], ids)]
+    kb = tmp_path / "chain.json"
+    kb.write_text(serialize_kb(KnowledgeBase(variables, arcs)))
+    proc = run_cli("predict", "--kb", str(kb), "--root", "1501", "--state", "1", stdin_text="")
+    assert proc.returncode == 0, proc.stderr
+    got = {p["var"]: p["probability"] for p in json.loads(proc.stdout)["predictions"]}
+    assert got == {v: pytest.approx(0.9 ** (1501 - v), rel=1e-12) for v in range(1, 1501)}
+    assert run_cli("stream", "--kb", str(kb), stdin_text="").returncode == 0
 
 
 def test_predict_help_lists_no_recovery_retrigger():

@@ -17,6 +17,7 @@ from ducg import (
     Condition,
     ConditionLiteral,
     CubicGraph,
+    CycleLimitError,
     DiagnosisSession,
     EventExpression,
     EvidenceSnapshot,
@@ -1030,6 +1031,74 @@ def test_memoised_predict_equals_path_enumeration_on_cycles(with_default_cause):
                     want = _predict_by_paths(sub, states, kb, hyp, keys)
                     assert predict(sub, states, kb, hyp) == want, f"seed {seed} root {sub.root}"
     assert sum(1 for _, part in keys if part) >= 1000
+
+
+# Far past the interpreter's default recursion limit of 1,000 frames.
+CHAIN = 5_000
+
+
+def _chain_kb(ids, extra=()):
+    """A B root ``ids[0]`` causing X ``ids[1]``, which causes X ``ids[2]``
+    and so on, plus the ``extra`` (child, parent) arcs; every arc sets its
+    child abnormal with intensity 0.9 when its parent is abnormal."""
+    states = tuple(
+        StateDef(k, "normal" if k == 0 else "high", "normal" if k == 0 else "abnormal")
+        for k in range(2)
+    )
+    variables = {
+        v: Variable(
+            id=v, kind="X" if d else "B", label=f"v{v}", states=states,
+            prior=None if d else {1: 0.1},
+        )
+        for d, v in enumerate(ids)
+    }
+    pairs = [*zip(ids[1:], ids), *extra]
+    return KnowledgeBase(variables, [CausalArc(c, p, 1.0, {1: {1: 0.9}}) for c, p in pairs])
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "upper-half-abnormal"])
+@pytest.mark.parametrize("ascending", [True, False], ids=["ascending", "descending"])
+def test_predict_on_a_long_chain_is_not_bounded_by_the_recursion_limit(ascending, observed):
+    """On a DAG every chain value is computed parents first, so a 5,000-link
+    chain forecasts 0.9^d for the X at distance d from the root, whichever
+    way its ids run and whether or not the half nearest the root is
+    already abnormal."""
+    ids = list(range(1, CHAIN + 2)) if ascending else list(range(CHAIN + 1, 0, -1))
+    kb = _chain_kb(ids)
+    (sub,) = decompose(kb)
+    states = {v: 1 for v in ids[1 : CHAIN // 2 + 1]} if observed else {}
+    rows = predict(sub, states, kb, RootLiteral(ids[0], 1))
+    want = {v: 0.9**d for d, v in enumerate(ids) if d and v not in states}
+    assert len(rows) == len(want) == (CHAIN - len(states))
+    for v, s, p in rows:
+        assert s == 1 and math.isclose(p, want[v], rel_tol=1e-12, abs_tol=0.0), (v, p, want[v])
+    assert [p for _, _, p in rows] == sorted((p for _, _, p in rows), reverse=True)
+
+
+def test_predict_on_a_chain_with_a_shortcut_ignores_the_id_order():
+    """A 5,000-link chain with one shortcut arc, numbered downward from the
+    root and then upward, gives each variable the same float."""
+    shortcut = [(20, 10)]  # (child, parent) by distance from the root
+    forecasts = []
+    for ids in (list(range(CHAIN + 1, 0, -1)), list(range(1, CHAIN + 2))):
+        kb = _chain_kb(ids, [(ids[c], ids[p]) for c, p in shortcut])
+        (sub,) = decompose(kb)
+        distance = {v: d for d, v in enumerate(ids)}
+        rows = predict(sub, {}, kb, RootLiteral(ids[0], 1))
+        forecasts.append({(distance[v], s): p for v, s, p in rows})
+    assert forecasts[0] == forecasts[1]
+    assert len(forecasts[0]) == CHAIN
+    assert forecasts[0][(20, 1)] == pytest.approx(0.5 * 0.9**20 + 0.5 * 0.9**11, rel=1e-12)
+
+
+def test_predict_on_a_long_cycle_raises_cycle_limit():
+    """A cycle through 5,000 X variables keeps the recursive walk, whose
+    chains outgrow the recursion limit: a coded error, not a traceback."""
+    ids = list(range(1, CHAIN + 2))
+    kb = _chain_kb(ids, [(2, CHAIN + 1)])
+    (sub,) = decompose(kb)
+    with pytest.raises(CycleLimitError):
+        predict(sub, {}, kb, RootLiteral(1, 1))
 
 
 # --- helpers ------------------------------------------------------------------------

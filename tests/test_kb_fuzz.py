@@ -3,7 +3,8 @@ nowhere: ``parse_kb`` and ``DiagnosisSession`` raise nothing but a
 ``DucgError`` on a malformed document, and ``ducg validate`` and
 ``ducg compile`` let nothing escape ``cli.main``, which turns a ``DucgError``
 into exit code 1. Each mutation's fused arcs, or its arc conflict, are those
-of the pairwise reference rule."""
+of the pairwise reference rule. A field swapped for a list or an object
+nested up to 100,000 deep ends the same way."""
 
 import contextlib
 import io
@@ -18,6 +19,7 @@ from ducg import (
     ConflictingDefinitionError,
     DiagnosisSession,
     DucgError,
+    KBSyntaxError,
     kb as kb_module,
     parse_kb,
 )
@@ -49,19 +51,48 @@ def _fields(node, path=()):
         yield from _fields(value, path + (key,))
 
 
+def _pick(doc, rng):
+    """A random field of ``doc``: the dict or list holding it, and its key."""
+    *parents, last = rng.choice(list(_fields(doc)))
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    return owner, last
+
+
 def mutate(doc, rng):
     """A copy of ``doc`` with one or two fields replaced or deleted."""
     doc = json.loads(json.dumps(doc))
     for _ in range(rng.choice((1, 2))):
-        *parents, last = rng.choice(list(_fields(doc)))
-        owner = doc
-        for key in parents:
-            owner = owner[key]
+        owner, last = _pick(doc, rng)
         if isinstance(owner, dict) and rng.random() < 0.2:
             del owner[last]
         else:
             owner[last] = rng.choice(VALUES)
     return doc
+
+
+# How deep a swapped-in field nests: below, around and far past the
+# interpreter's recursion limit of 1,000, near which ``json.loads`` starts to
+# refuse depending on the stack beneath it.
+DEPTHS = (1, 2, 10, 100, 500, 900, 940, 960, 970, 980, 990, 1_000, 1_100, 10_000, 100_000)
+NESTINGS = 300
+_PLACEHOLDER = json.dumps("\0nested")
+
+
+def nest(doc, rng):
+    """The text of ``doc`` with one field swapped for a list or an object
+    nested one of ``DEPTHS`` deep, and that depth. It is built as text:
+    ``json.dumps`` itself recurses once per level."""
+    doc = json.loads(json.dumps(doc))
+    owner, last = _pick(doc, rng)
+    owner[last] = json.loads(_PLACEHOLDER)
+    depth = rng.choice(DEPTHS)
+    if rng.random() < 0.5:
+        inner = "[" * depth + rng.choice(("", "1", '"x"', "{}")) + "]" * depth
+    else:
+        inner = '{"id":' * depth + rng.choice(("1", "[]", '"B"')) + "}" * depth
+    return json.dumps(doc).replace(_PLACEHOLDER, inner, 1), depth
 
 
 def load_all_the_way(text, path, out):
@@ -124,3 +155,33 @@ def test_mutated_kbs_raise_only_coded_errors(tmp_path):
             mismatches[seed] = mismatch
     assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
     assert not mismatches, dict(list(mismatches.items())[:3])
+
+
+def test_deeply_nested_fields_raise_only_coded_errors(tmp_path):
+    """Every nesting ends in a coded error or none. One past 1,000 levels is
+    always the nesting ``KBSyntaxError``; shallower ones reach the shape
+    checks."""
+    docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
+    escapes, deep, shallow = {}, 0, 0
+    for seed in range(NESTINGS):
+        rng = random.Random(seed)
+        text, depth = nest(rng.choice(docs), rng)
+        try:
+            load_all_the_way(text, tmp_path / "kb.json", tmp_path / "compiled.json")
+            try:
+                parse_kb(text)
+                refusal = None
+            except DucgError as exc:
+                refusal = exc
+            if depth > 1_000:
+                assert isinstance(refusal, KBSyntaxError), refusal
+                assert str(refusal) == "arrays or objects nest too deep to read"
+                deep += 1
+            else:
+                shallow += 1
+        except Exception as exc:  # anything but a DucgError is a defect
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
+            escapes.setdefault(where, []).append(seed)
+    assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
+    assert deep >= 40 and shallow >= 200, (deep, shallow)
