@@ -25,17 +25,22 @@ then ranked:
   depth; it equals ``expand`` there up to float summation order.
 
 A session keeps two maps over its alive roots, each root's subgraph and
-its latest layer, and one memo, keyed on the snapshot's assignments, of its
-``_MEMO_SIZE`` most recently used evidence patterns. An entry holds the
-ranking's tuples (hypotheses, status and evidence) and, for each ranked
-root, the slice ``simplify`` built. Equal keys are the same evidence, so a
-stored slice is the one ``simplify`` would build again, and a chattering
-channel is sliced and evaluated once per pattern. When a pattern comes back
-and every root it ranked is still alive, the tick is a lookup: nothing is
-sliced or evaluated, each ranked root takes a layer holding its stored slice
-as it is, and the report reuses the stored tuples, so equal rankings are
-identical objects. Any other tick is ranked afresh over the alive roots and
-its ranking replaces the entry. A tick changes no state until it is ranked.
+its latest layer; one memo, keyed on the snapshot's assignments, of its
+``_MEMO_SIZE`` most recently used evidence patterns; and one store of the
+family tables (``factored_joints``) of its last ranked miss tick. A memo
+entry holds the ranking's tuples (hypotheses, status and evidence) and, for
+each ranked root, the slice ``simplify`` built. Equal keys are the same
+evidence, so a stored slice is the one ``simplify`` would build again, and a
+chattering channel is sliced and evaluated once per pattern. When a pattern
+comes back and every root it ranked is still alive, the tick is a lookup:
+nothing is sliced or evaluated, each ranked root takes a layer holding its
+stored slice as it is, the report reuses the stored tuples, so equal
+rankings are identical objects, and the store is neither read nor changed.
+Any other tick is ranked afresh over the alive roots; its eliminations take
+each family table this tick or the last ranked miss tick built, and build
+the rest. Its ranking replaces the memo entry, and the tables it built or
+took replace the store, so the store holds two ticks' tables at most. A tick
+changes no state until it is ranked.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -342,7 +347,20 @@ def _positions(
     return itemgetter(*where) if where else lambda assignment: ()
 
 
-def factored_joints(g: SliceGraph, kb: KnowledgeBase) -> dict[int, float]:
+# A family's key: the child's retained in-arcs in slice order, by identity,
+# and the clamp (evidence state or None) of each family member in family order.
+FamilyKey = tuple[tuple[int, ...], tuple[Optional[int], ...]]
+Factor = tuple[tuple[int, ...], dict[tuple[int, ...], float]]  # (scope, table)
+# (this tick's families, the last ranked tick's families); the second is only read
+FamilyTables = tuple[dict[FamilyKey, Factor], Mapping[FamilyKey, Factor]]
+
+
+def factored_joints(
+    g: SliceGraph,
+    kb: KnowledgeBase,
+    *,
+    tables: Optional[FamilyTables] = None,
+) -> dict[int, float]:
     """Pr{root = s ∧ evidence} for every root state s, by variable elimination.
 
     Reads slice ``g`` as a causal network: a root has its prior, every caused
@@ -367,6 +385,17 @@ def factored_joints(g: SliceGraph, kb: KnowledgeBase) -> dict[int, float]:
     Each step updates only what it touches: the live factors holding each
     variable, and the neighbours and resulting size of each variable in the
     new scope.
+
+    ``tables``, when given, is a pair of maps from a family's key to its
+    (scope, table): the first for this tick, the second for the last ranked
+    tick. The key is the child's retained in-arcs in slice order, by
+    identity (so the arcs must outlive the maps, as a session's KB holds
+    them), and each family member's clamp. It fixes the shares, domains,
+    scope and every cell, so a stored pair is the one the build would give.
+    A family found in either map is taken as it is, one found in neither is
+    built, and either way it goes into the first map. The second map is only
+    read, and no table is written once built. Without ``tables`` both maps
+    start empty, so every family is built.
     """
     variables = kb.variables
     clamps = g.states
@@ -376,14 +405,23 @@ def factored_joints(g: SliceGraph, kb: KnowledgeBase) -> dict[int, float]:
     }
     width = {v: len(domain) for v, domain in domains.items()}
     families = _families(g.arcs)
+    built, last = ({}, {}) if tables is None else tables
 
     # Live factors by creation id, each (scope, table).
-    factors: dict[int, tuple[tuple[int, ...], dict[tuple[int, ...], float]]] = {}
+    factors: dict[int, Factor] = {}
     for v, domain in domains.items():
         is_root = variables[v].kind in ROOT_KINDS
         arcs = () if is_root else families.get(v, ())
         if arcs:
             family = (v, *sorted({arc.parent for arc, _, _ in arcs}))
+            memo_key = (
+                tuple([id(arc) for arc, _, _ in arcs]),
+                tuple([clamps.get(u) for u in family]),
+            )
+            factor = built.get(memo_key) or last.get(memo_key)
+            if factor is not None:
+                factors[len(factors)] = built[memo_key] = factor
+                continue
             shares = [(share, family.index(arc.parent), arc) for arc, share, _ in arcs]
             scope = tuple([u for u in family if width[u] > 1])
             key = _positions(scope, family)
@@ -403,7 +441,9 @@ def factored_joints(g: SliceGraph, kb: KnowledgeBase) -> dict[int, float]:
                 }
             else:  # uncaused: certainly normal
                 table = {(x,) if scope else (): 1.0 if x == 0 else 0.0 for x in domain}
-        factors[len(factors)] = (scope, table)
+        factor = factors[len(factors)] = (scope, table)
+        if arcs:
+            built[memo_key] = factor
 
     root = g.root
     holders: dict[int, list[int]] = {}  # variable -> its live factors, oldest first
@@ -477,13 +517,16 @@ class HypothesisResult:
     posterior: float
 
 
-def evaluate(g: SliceGraph, kb: KnowledgeBase) -> tuple[float, dict[int, float]]:
+def evaluate(
+    g: SliceGraph, kb: KnowledgeBase, *, tables: Optional[FamilyTables] = None
+) -> tuple[float, dict[int, float]]:
     """ζ of slice ``g`` and the joint of each abnormal root state (no joints
-    when ζ is 0)."""
+    when ζ is 0). ``tables`` goes to ``factored_joints`` if that evaluator
+    takes the slice."""
     root = g.root
     abnormal = kb.variables[root].abnormal_state_ids
     if _takes_factored_path(g, kb):
-        f = factored_joints(g, kb)
+        f = factored_joints(g, kb, tables=tables)
         return sum(f.values()), {s: f[s] for s in abnormal}
     expr = expand(g, kb)
     zeta = eval_expression(expr, kb)
@@ -550,8 +593,9 @@ class DiagnosisSession:
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
     good. ``cubic(root)`` is the root's latest layer, the only one held,
-    and the memo holds at most ``_MEMO_SIZE`` evidence patterns, so memory
-    stays flat however long the session runs.
+    the memo holds at most ``_MEMO_SIZE`` evidence patterns, and the store
+    the family tables of one tick, so memory stays flat however long the
+    session runs.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -566,6 +610,8 @@ class DiagnosisSession:
         # evidence key -> ({ranked root: slice}, hypotheses, status, abnormal,
         # normal), least recently used first
         self._memo: OrderedDict = OrderedDict()
+        # the family tables the last ranked miss tick built or reused
+        self._tables: dict[FamilyKey, Factor] = {}
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
@@ -590,11 +636,12 @@ class DiagnosisSession:
             self._memo.move_to_end(key)  # most recently used last
         else:
             slices, evaluated = {}, []  # no state changes until ranked
+            tables = ({}, self._tables)
             for root, sub in self._subs.items():
                 s = simplify(sub, ev)
                 if s.valid and check_valid(s, ev):
                     slices[root] = s
-                    evaluated.append((root, *evaluate(s, self.kb)))
+                    evaluated.append((root, *evaluate(s, self.kb, tables=tables)))
             hypotheses = tuple(rank_hypotheses(evaluated))
             ranked_roots = {h.root for h in hypotheses}
             if len(ranked_roots) == 1:
@@ -614,6 +661,7 @@ class DiagnosisSession:
             self._memo.move_to_end(key)  # assignment leaves a stale key in its place
             if len(self._memo) > _MEMO_SIZE:
                 self._memo.popitem(last=False)
+            self._tables = tables[0]
         ranked, hypotheses, status, abnormal, normal = entry
         if len(ranked) != len(self._subs):  # a root left
             self._subs = {root: self._subs[root] for root in ranked}

@@ -180,6 +180,38 @@ def deep_evidence(kb: KnowledgeBase) -> EvidenceSnapshot:
     return EvidenceSnapshot.build(1, {x: 1 if i < 3 else 0 for i, x in enumerate(chosen)})
 
 
+def wandering_evidence(
+    rng: random.Random, kb: KnowledgeBase, ticks: int, recall: int = 24
+) -> list[dict[int, int]]:
+    """The assignments of ``ticks`` triggering ticks on a layered KB, read
+    from the last layer in reach of one root, so that root explains every
+    tick. One abnormal reading is held throughout; after the first tick,
+    each tick either returns to one of the last ``recall`` patterns or adds,
+    flips or drops one other reading of the current pattern."""
+    parents = {a.parent for a in kb.arcs}
+    last = {v for v, var in kb.variables.items() if var.kind == "X" and v not in parents}
+    sub = rng.choice([s for s in decompose(kb) if len(last & set(s.variables)) > 1])
+    reachable = sorted(last & set(sub.variables))
+    held = rng.choice(reachable)
+    readable = [v for v in reachable if v != held]
+    current = {held: 1, rng.choice(readable): 1}
+    stream = [current]
+    while len(stream) < ticks:
+        if len(stream) > 2 and rng.random() < 0.4:
+            current = rng.choice(stream[-recall:])
+        else:
+            current = dict(current)
+            v = rng.choice(readable)
+            if v not in current:
+                current[v] = rng.randint(0, 1)
+            elif rng.random() < 0.5:
+                del current[v]
+            else:
+                current[v] = 1 - current[v]
+        stream.append(current)
+    return stream
+
+
 def random_evidence(rng: random.Random, kb: KnowledgeBase) -> EvidenceSnapshot:
     x_vars = [v for v in kb.variables.values() if v.kind == "X"]
     observed = [v for v in x_vars if rng.random() < 0.7] or [rng.choice(x_vars)]

@@ -595,9 +595,9 @@ def _counting(monkeypatch, name="evaluate"):
     calls = []
     real = getattr(ducg.engine, name)
 
-    def counted(first, *rest):
+    def counted(first, *rest, **keywords):
         calls.append(first.root)
-        return real(first, *rest)
+        return real(first, *rest, **keywords)
 
     monkeypatch.setattr(ducg.engine, name, counted)
     return calls
@@ -718,24 +718,26 @@ def test_a_tick_that_raises_mid_evaluation_commits_nothing(
     tworoot_kb, monkeypatch, fed, failing, evaluated
 ):
     """Evaluating the last alive root of a missed tick raises: no root keeps a
-    new cubic graph, the memo keeps its keys and entries, and the hypothesis
-    space stays as it was."""
+    new cubic graph, the memo keeps its keys and entries, the store of family
+    tables is the same object with the same entries, and the hypothesis space
+    stays as it was."""
     session = DiagnosisSession(tworoot_kb)
     for t, assignments in enumerate(fed, 1):
         session.diagnose_tick(snapshot(t, assignments))
     alive = session.alive_roots
     before = {r: session.cubic(r) for r in alive}
     memo = list(session._memo.items())
+    store, stored = session._tables, list(session._tables.items())
     assert set(before) == set(evaluated)
     assert [key for key, _ in memo] == [frozenset(a.items()) for a in fed]
 
     real, calls = ducg.engine.evaluate, []
 
-    def last_call_raises(g, kb):
+    def last_call_raises(g, kb, *, tables=None):
         calls.append(g.root)
         if len(calls) == len(evaluated):
             raise RuntimeError("evaluation failed")
-        return real(g, kb)
+        return real(g, kb, tables=tables)
 
     monkeypatch.setattr(ducg.engine, "evaluate", last_call_raises)
     with pytest.raises(RuntimeError):
@@ -745,6 +747,7 @@ def test_a_tick_that_raises_mid_evaluation_commits_nothing(
     for r, cubic in before.items():
         assert session.cubic(r) is cubic
     assert list(session._memo.items()) == memo
+    assert session._tables is store and list(store.items()) == stored
 
 
 def test_warm_memo_still_rejects_evidence_without_an_abnormal_assignment(tworoot_kb):
