@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import marshal
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -230,6 +231,8 @@ class KnowledgeBase:
     when its weight and matrix equal those of the first arc of that key;
     otherwise :class:`ConflictingDefinitionError` names its (child, parent).
     The original document split is kept so serialization round-trips.
+    :func:`parse_kb` reads a repeated subgraph arc document once, so the
+    subgraphs that repeat it share one :class:`CausalArc` object.
     """
 
     def __init__(
@@ -264,7 +267,9 @@ def _merge_arcs(
 ) -> list[CausalArc]:
     """The fusion rule of :class:`KnowledgeBase`, in one pass over
     ``incoming_lists``. Weights compare with ``!=``, so a NaN weight never
-    repeats; tuple or dataclass ``==`` would match one NaN object to itself."""
+    repeats; tuple or dataclass ``==`` would match one NaN object to itself.
+    The first arc of a key repeated as the same object (one document read
+    once) is equal to itself but for that weight."""
     merged = list(kept)
     first: dict[tuple, CausalArc] = {}
     for arc in merged:
@@ -277,7 +282,8 @@ def _merge_arcs(
                 first[key] = arc
                 merged.append(arc)
             elif have.weight != arc.weight or (
-                {k: dict(r) for k, r in have.matrix.items()}
+                have is not arc
+                and {k: dict(r) for k, r in have.matrix.items()}
                 != {k: dict(r) for k, r in arc.matrix.items()}
             ):
                 raise ConflictingDefinitionError(
@@ -293,11 +299,11 @@ def _merge_arcs(
 
 def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
     """``kind(value)``, the one conversion every KB number goes through. A value
-    that ``kind`` rejects, a bool, and a string unless ``kind`` is ``int``
-    (the keys of a JSON object are strings) raise :class:`KBSyntaxError`
-    naming ``where`` and ``what``; for ``int`` so do ±inf and NaN, which JSON
-    reads ``1e400`` as, and a number with a fraction (``1.0`` is an
-    integer)."""
+    that ``kind`` rejects, a bool, and a string unless ``kind`` is ``int`` and
+    the string is ASCII digits after an optional ``-`` raise
+    :class:`KBSyntaxError` naming ``where`` and ``what``; for ``int`` so do
+    ±inf and NaN, which JSON reads ``1e400`` as, and a number with a fraction
+    (``1.0`` is an integer)."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -307,7 +313,8 @@ def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
         if number is value:
             return number
         if value.__class__ is str:
-            if kind is int:
+            # ``int()`` also reads "+1", " 1", "0_1" and non-ASCII digits
+            if kind is int and value.isascii() and value.lstrip("-").isdigit():
                 return number
         elif value.__class__ is not bool and (kind is not int or number == value):
             return number
@@ -363,8 +370,9 @@ def parse_kb(text: str) -> KnowledgeBase:
         _parse_arc(raw, variables, where=f"arcs[{i}]")
         for i, raw in enumerate(_optional_list(doc, "arcs"))
     ]
+    read: dict[bytes, CausalArc] = {}
     subducgs = [
-        _parse_subducg(raw, variables, where=f"subducgs[{i}]")
+        _parse_subducg(raw, variables, f"subducgs[{i}]", read)
         for i, raw in enumerate(_optional_list(doc, "subducgs"))
     ]
 
@@ -494,8 +502,33 @@ def _parse_arc(
     return CausalArc(child, parent, weight, matrix, condition)
 
 
+def _parse_arc_once(
+    raw: Any, variables: Mapping[int, Variable], where: str, read: dict[bytes, CausalArc]
+) -> CausalArc:
+    """:func:`_parse_arc`, or the arc of an identical document read before.
+
+    ``read`` maps the ``marshal`` bytes of each document read to its arc.
+    Those bytes spell out every type, every float's bits and every key order,
+    so two documents share them only when parsing must read them alike.
+    ``==`` would not do: ``true`` equals ``1``, ``-0.0`` equals ``0.0``, and
+    an object ignores its key order, which decides the entry kept when two
+    matrix keys name one state (``"1"``, ``"01"``).
+    """
+    try:
+        key = marshal.dumps(raw, 2)  # version 2 writes no back-references
+    except ValueError:  # nested deeper than marshal writes: read it on its own
+        return _parse_arc(raw, variables, where)
+    arc = read.get(key)
+    if arc is None:
+        arc = read[key] = _parse_arc(raw, variables, where)
+    return arc
+
+
 def _parse_subducg(
-    raw: Any, variables: Mapping[int, Variable], where: str
+    raw: Any,
+    variables: Mapping[int, Variable],
+    where: str,
+    read: dict[bytes, CausalArc],
 ) -> SubDUCG:
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: subducg must be an object")
@@ -514,7 +547,7 @@ def _parse_subducg(
     members = {i: variables[i] for i in sorted(set(ids))}
     arcs = []
     for i, raw_arc in enumerate(_optional_list(raw, "arcs", f"{where}: ")):
-        arc = _parse_arc(raw_arc, variables, where=f"{where}.arcs[{i}]")
+        arc = _parse_arc_once(raw_arc, variables, f"{where}.arcs[{i}]", read)
         if arc.child not in members or arc.parent not in members:
             raise UnknownReferenceError(
                 f"{where}.arcs[{i}]: arc {arc.child}<-{arc.parent} leaves the "
@@ -773,15 +806,19 @@ def decompose(kb: KnowledgeBase) -> list[SubDUCG]:
     subs: list[SubDUCG] = []
     children: dict[int, list[int]] = {}
     parent_arcs: dict[int, list[CausalArc]] = {}
+    defaults = {v.id for v in kb.variables.values() if v.kind == "D"}
+    fed: set[int] = set()  # the children of default causes
     for arc in kb.arcs:
         children.setdefault(arc.parent, []).append(arc.child)
         parent_arcs.setdefault(arc.child, []).append(arc)
+        if arc.parent in defaults:
+            fed.add(arc.child)
 
     for root in kb.roots():
         closure = reach((root,), children)
-        # keep default causes feeding the closure, visiting children in id
-        # order: one that joins below the current child is not visited
-        queue = sorted(closure)
+        # keep default causes feeding the closure, visiting their children in
+        # id order: one that joins below the current child is not visited
+        queue = sorted(closure & fed)
         while queue:
             child = heapq.heappop(queue)
             for arc in parent_arcs.get(child, ()):

@@ -176,6 +176,15 @@ _BAD_NUMBERS = {
         "variables[1]", lambda d: d["variables"][1].update(intervals={"1": [False, True]})
     ),
     "string arc weight": ("arcs[0]", lambda d: d["arcs"][0].update(weight="0.5")),
+    # int() reads these as 1
+    "signed matrix key": ("arcs[0]", lambda d: d["arcs"][0].update(matrix={"+1": {"1": 0.5}})),
+    "spaced matrix key": ("arcs[0]", lambda d: d["arcs"][0].update(matrix={" 1": {"1": 0.5}})),
+    "underscored matrix key": (
+        "arcs[0]", lambda d: d["arcs"][0].update(matrix={"0_1": {"1": 0.5}})
+    ),
+    "non-ASCII digit matrix key": (
+        "arcs[0]", lambda d: d["arcs"][0].update(matrix={"\u0661": {"1": 0.5}})
+    ),
 }
 
 
@@ -234,6 +243,29 @@ def test_parse_reads_integral_floats_and_string_keys_as_integers():
     assert (arc.child, arc.parent, arc.weight) == (3, 1, 1.0)
     assert type(arc.child) is type(arc.parent) is int
     assert kb.variables[1].prior == {1: 0.1}
+
+
+@pytest.mark.parametrize("key", ["0_1", " 1", "+1", "\u0661", "1 ", "--1", "-", ""])
+def test_parse_reads_an_integer_string_only_as_ascii_digits(key):
+    doc = {
+        "version": 1,
+        "variables": [json.loads(var_json(1, "B")), json.loads(var_json(3, "X"))],
+        "arcs": [{"child": 3, "parent": 1, "matrix": {key: {"1": 0.5}}}],
+    }
+    message = f"arcs[0]: matrix row key must be an integer, got {key!r}"
+    with pytest.raises(KBSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_kb(json.dumps(doc))
+
+
+def test_parse_reads_a_minus_and_leading_zeros_in_an_integer_string():
+    doc = {
+        "version": 1,
+        "variables": [json.loads(var_json(1, "B")), json.loads(var_json(3, "X"))],
+        "arcs": [{"child": "3", "parent": "-1", "matrix": {"001": {"1": 0.5}}}],
+    }
+    doc["variables"][0]["id"] = -1
+    (arc,) = parse_kb(json.dumps(doc)).arcs
+    assert (arc.child, arc.parent, arc.matrix) == (3, -1, {1: {1: 0.5}})
 
 
 def var_json(vid, kind, prior=None):
