@@ -42,6 +42,13 @@ the rest. Its ranking replaces the memo entry, and the tables it built or
 took replace the store, so the store holds two ticks' tables at most. A tick
 changes no state until it is ranked.
 
+The values a stream hands out are never changed after they are built: the
+snapshot, slice, layer, hypothesis and report types are slotted dataclasses,
+not frozen ones (a frozen ``__init__`` pays for every field it sets), so this
+is a convention that nothing enforces. It matters because they are shared: an
+unchanged tick's snapshot holds the previous one's assignments, and a memo
+hit hands out stored slices and tuples again.
+
 Slices and ranking follow these rules; each convention is written once:
 
 * a slice keeps exactly the arcs lying on a causal path from the root to some
@@ -93,13 +100,15 @@ from .kb import (
 )
 from .signals import EvidenceSnapshot
 
-_EXPANSION_STEP_LIMIT = 1_000_000  # defensive; unreachable for sane KBs
+# Bounds ``expand``'s worklist. It is reachable: one feedback arc in a deep
+# slice exhausts it (ROADMAP item 5), and ``tests/test_expand.py`` lowers it.
+_EXPANSION_STEP_LIMIT = 1_000_000
 
 
 # --- graphs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SliceGraph:
     """One root's simplified causal graph for one snapshot's evidence."""
 
@@ -114,7 +123,7 @@ class SliceGraph:
         return not self.unexplained
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CubicGraph:
     """One time layer of a root's cubic graph: a tick and the root's slice
     for it."""
@@ -507,7 +516,7 @@ def factored_joints(
 # --- ranking ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HypothesisResult:
     root: int
     state: int
@@ -571,7 +580,7 @@ def rank_hypotheses(
 # --- session ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiagnosisReport:
     tick: int
     status: str  # diagnosed | ambiguous | unexplained

@@ -322,6 +322,16 @@ def _number(value: Any, where: str, what: str, kind: type = int) -> Any:
     raise KBSyntaxError(f"{where}: {what} must be {noun}, got {value!r}")
 
 
+def _state_key(key: Any, taken: Mapping[int, Any], where: str, what: str) -> int:
+    """``key`` read as a state id by :func:`_number`; a second key naming a
+    state already in ``taken`` (``"1"`` and ``"01"``, ``"0"`` and ``"-0"``)
+    raises :class:`KBSyntaxError` naming ``where`` and the key."""
+    sid = _number(key, where, what)
+    if sid in taken:
+        raise KBSyntaxError(f"{where}: duplicate {what} {key!r} (state {sid})")
+    return sid
+
+
 def _optional_list(raw: Mapping[str, Any], key: str, prefix: str = "") -> list:
     """``raw[key]``, which must be a list; absent or null reads as empty."""
     value = raw.get(key)
@@ -424,7 +434,7 @@ def _parse_variable(raw: Any, index: int) -> Variable:
             raise KBSyntaxError(f"{where}: prior must map state id to probability")
         prior = {}
         for key, value in raw["prior"].items():
-            sid = _number(key, where, "prior key")
+            sid = _state_key(key, prior, where, "prior key")
             if sid not in seen:
                 raise UnknownReferenceError(
                     f"{where}: prior for undeclared state {sid}", sid
@@ -455,7 +465,7 @@ def _parse_intervals(raw: Any, where: str) -> dict[int, tuple[float, float]]:
     for key, bounds in raw.items():
         if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
             raise KBSyntaxError(f"{where}: interval for state {key} must be a pair")
-        sid = _number(key, where, "intervals key")
+        sid = _state_key(key, out, where, "intervals key")
         out[sid] = (_number(bounds[0], where, "interval bound", float),
                     _number(bounds[1], where, "interval bound", float))
     return out
@@ -481,12 +491,11 @@ def _parse_arc(
     for k_raw, row in raw_matrix.items():
         if not isinstance(row, dict):
             raise KBSyntaxError(f"{where}: matrix rows must be objects")
-        k = _number(k_raw, where, "matrix row key")
-        matrix[k] = {
-            _number(j, where, "matrix column key"):
-            _number(p, where, "intensity", float)
-            for j, p in row.items()
-        }
+        k = _state_key(k_raw, matrix, where, "matrix row key")
+        matrix[k] = cells = {}
+        for j_raw, p in row.items():
+            j = _state_key(j_raw, cells, where, "matrix column key")
+            cells[j] = _number(p, where, "intensity", float)
     matrix = {k: dict(sorted(row.items())) for k, row in sorted(matrix.items())}
 
     condition = None
@@ -510,9 +519,9 @@ def _parse_arc_once(
     ``read`` maps the ``marshal`` bytes of each document read to its arc.
     Those bytes spell out every type, every float's bits and every key order,
     so two documents share them only when parsing must read them alike.
-    ``==`` would not do: ``true`` equals ``1``, ``-0.0`` equals ``0.0``, and
-    an object ignores its key order, which decides the entry kept when two
-    matrix keys name one state (``"1"``, ``"01"``).
+    ``==`` would not do: ``true`` equals ``1`` and ``-0.0`` equals ``0.0``.
+    Key order decides nothing, since two keys naming one state are refused,
+    so a reordered document is only read again.
     """
     try:
         key = marshal.dumps(raw, 2)  # version 2 writes no back-references

@@ -25,12 +25,15 @@ from .errors import (
 from .kb import KnowledgeBase, Variable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EvidenceSnapshot:
     """Discrete world state at one tick.
 
     ``assignments`` maps every observed variable to its current state id;
     ``abnormal_set`` holds the variables whose state is abnormal (not 0).
+    A snapshot is a slotted dataclass, not a frozen one, and nothing changes
+    it once built: ``ingest_tick`` hands an unchanged tick the previous
+    snapshot's ``assignments`` and ``abnormal_set`` objects.
     """
 
     tick: int

@@ -185,6 +185,20 @@ _BAD_NUMBERS = {
     "non-ASCII digit matrix key": (
         "arcs[0]", lambda d: d["arcs"][0].update(matrix={"\u0661": {"1": 0.5}})
     ),
+    # two keys of one object that name one state
+    "duplicate matrix row": (
+        "arcs[0]", lambda d: d["arcs"][0].update(matrix={"1": {"1": 0.5}, "01": {"1": 0.25}})
+    ),
+    "duplicate matrix column": (
+        "arcs[0]", lambda d: d["arcs"][0].update(matrix={"1": {"1": 0.5, "01": 0.25}})
+    ),
+    "duplicate prior key": (
+        "variables[0]", lambda d: d["variables"][0].update(prior={"1": 0.2, "01": 0.05})
+    ),
+    "duplicate intervals key": (
+        "variables[1]",
+        lambda d: d["variables"][1].update(intervals={"0": [-1, 1], "-0": [-5, 1]}),
+    ),
 }
 
 

@@ -163,14 +163,15 @@ REPEATS = {
                         _arc(matrix={"1": {"1": math.nan}}), "loads"),
     "reordered keys": (
         _arc(), dict(reversed(list(_arc().items()))), "loads"),
+    # two keys naming one state are refused in the first document
     "reordered rows naming one state": (
         _arc(matrix={"1": {"1": 0.5}, "01": {"1": 0.25}}),
         _arc(matrix={"01": {"1": 0.25}, "1": {"1": 0.5}}),
-        "arc 2<-1 defined twice with different parameters"),
+        "subducgs[0].arcs[0]: duplicate matrix row key '01' (state 1)"),
     "reordered columns naming one state": (
         _arc(matrix={"1": {"1": 0.5, "01": 0.25}}),
         _arc(matrix={"1": {"01": 0.25, "1": 0.5}}),
-        "arc 2<-1 defined twice with different parameters"),
+        "subducgs[0].arcs[0]: duplicate matrix column key '01' (state 1)"),
     "an extra key in the repeat": (_arc(), _arc(note="x"), "loads"),
     "an extra key in the first": (_arc(note="x"), _arc(), "loads"),
     "an equal repeat": (_arc(), _arc(), "loads"),

@@ -1,0 +1,94 @@
+"""Nothing changes a value the stream has handed out.
+
+The snapshot, slice, layer, hypothesis and report types are slotted
+dataclasses, so nothing guards their fields, and they are shared across
+ticks: an unchanged tick's snapshot holds the previous snapshot's
+assignments, and a memo hit hands out stored slices and tuples again. So the
+``repr`` of each snapshot, report and layer, taken when it is returned, must
+still read the same once the whole stream has run."""
+
+import random
+from dataclasses import replace
+from pathlib import Path
+
+from ducg import DiagnosisSession, KnowledgeBase, ingest_tick, iter_reading_groups, parse_kb
+
+from generators import random_kb
+
+DATA = Path(__file__).parent / "data"
+STREAMS = 200
+
+
+def drive(kb, batches):
+    """Run ``(tick, readings)`` batches through the gateway and a session.
+    Return each value handed out with its ``repr`` at that moment, and how
+    many snapshots held the previous snapshot's assignments and how many
+    layers held a slice handed out before."""
+    session = DiagnosisSession(kb)
+    handed, slices = [], set()
+    shared_assignments = shared_slices = 0
+    prev = None
+    for tick, readings in batches:
+        before = prev
+        prev, triggered = ingest_tick(prev, tick, readings, kb, on_error=lambda *_: None)
+        handed.append((prev, repr(prev)))
+        shared_assignments += before is not None and prev.assignments is before.assignments
+        if triggered and prev.abnormal_set:
+            report = session.diagnose_tick(prev)
+            handed.append((report, repr(report)))
+            for root in session.alive_roots:
+                layer = session.cubic(root)
+                handed.append((layer, repr(layer)))
+                shared_slices += id(layer.latest) in slices
+                slices.add(id(layer.latest))
+    return handed, shared_assignments, shared_slices
+
+
+def gauged(kb):
+    """``kb`` with a measure point on each X variable, whose state k reads
+    the values in (k - 0.5, k + 0.5]."""
+    def gauge(var):
+        states = tuple(replace(s, interval=(s.state_id - 0.5, s.state_id + 0.5)) for s in var.states)
+        return replace(var, measure_point=f"MP{var.id}", states=states)
+
+    variables = {v: gauge(var) if var.kind == "X" else var for v, var in kb.variables.items()}
+    return KnowledgeBase(variables, kb.arcs)
+
+
+def chattering_batches(rng, kb, ticks=40):
+    """Batches of 0-3 readings of random observables. After the first few,
+    four in ten repeat one of the last eight batches, so evidence patterns
+    come back and ticks often change nothing."""
+    observables = [var for var in kb.variables.values() if var.measure_point]
+    batches = []
+    for tick in range(ticks):
+        if len(batches) > 3 and rng.random() < 0.4:
+            readings = rng.choice(batches[-8:])[1]
+        else:
+            readings = [
+                (var.measure_point, float(rng.choice(var.state_ids)))
+                for var in rng.sample(observables, rng.randint(0, min(3, len(observables))))
+            ]
+        batches.append((tick, readings))
+    return batches
+
+
+def test_no_value_handed_out_changes():
+    streams = []
+    kb = parse_kb((DATA / "tworoot_kb.json").read_text())
+    lines = (DATA / "tworoot_chatter_signals.csv").read_text().splitlines()
+    streams.append((kb, list(iter_reading_groups(lines))))
+    for seed in range(STREAMS):
+        rng = random.Random(seed)
+        kb = gauged(random_kb(rng, with_default_cause=seed % 2 == 1))
+        streams.append((kb, chattering_batches(rng, kb)))
+
+    handed, shared_assignments, shared_slices = [], 0, 0
+    for kb, batches in streams:
+        values, assignments, slices = drive(kb, batches)
+        handed += values
+        shared_assignments += assignments
+        shared_slices += slices
+    assert [repr(value) for value, _ in handed] == [taken for _, taken in handed]
+    # the test means something only where values are shared
+    assert shared_assignments > 1_000 and shared_slices > 300, (shared_assignments, shared_slices)
