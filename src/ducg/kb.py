@@ -17,6 +17,16 @@ matrix. Missing child-normal rows are completed as 1 − Σ(abnormal column).
 The on-disk format is JSON with a canonical serialization (sorted ids, fixed
 key order) so that parse→serialize is a fixed point usable for golden-file
 tests and deterministic compilation output.
+
+The records of a loaded knowledge base are never changed once they are
+built. :class:`StateDef`, :class:`CausalArc` and :class:`SubDUCG` are slotted
+dataclasses and :class:`Variable` a plain one, not frozen ones (a frozen
+``__init__`` pays for every field it sets), so this is a convention that
+nothing enforces. It matters because they are shared: :func:`parse_kb` reads
+each distinct state or arc document once, so the variables and subgraphs
+that repeat one hold the same objects, and :func:`decompose` hands the KB's
+own variables and arcs to every subgraph. :class:`Condition` and
+:class:`ConditionLiteral` stay frozen, because the arc fusion hashes them.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import marshal
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ConflictingDefinitionError,
@@ -44,7 +54,7 @@ KNOWN_KINDS = frozenset({"B", "X", "D", "BX", "G"})
 UNSUPPORTED_ARC_KINDS = frozenset({"BX", "G"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateDef:
     """One discrete state of a variable.
 
@@ -58,7 +68,7 @@ class StateDef:
     interval: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass
 class Variable:
     id: int
     kind: str
@@ -68,7 +78,7 @@ class Variable:
     measure_point: str | None = None
 
     # Computed on first read and kept: the evaluators and the gateway read them in hot loops.
-    # The cache sits outside the fields, so ==, hash and repr ignore it.
+    # The cache sits outside the fields, so == and repr ignore it.
     @cached_property
     def state_ids(self) -> tuple[int, ...]:
         return tuple(s.state_id for s in self.states)
@@ -166,7 +176,7 @@ class Condition:
         return tuple(sorted(lits, key=lambda l: (l.var, l.state)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CausalArc:
     """Directed causal mechanism child←parent.
 
@@ -213,7 +223,7 @@ def completed_intensity(arc: CausalArc, child_state: int, parent_state: int) -> 
     return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubDUCG:
     """A single-fault subgraph: one root cause plus everything it can explain."""
 
@@ -231,8 +241,6 @@ class KnowledgeBase:
     when its weight and matrix equal those of the first arc of that key;
     otherwise :class:`ConflictingDefinitionError` names its (child, parent).
     The original document split is kept so serialization round-trips.
-    :func:`parse_kb` reads a repeated subgraph arc document once, so the
-    subgraphs that repeat it share one :class:`CausalArc` object.
     """
 
     def __init__(
@@ -361,15 +369,16 @@ def parse_kb(text: str) -> KnowledgeBase:
     if not isinstance(doc, dict):
         raise KBSyntaxError("top-level value must be an object")
     version = doc.get("version", 1)
-    if version != 1:
+    if version != 1 or version.__class__ is bool:
         raise KBSyntaxError(f"unsupported format version {version!r}")
 
     raw_vars = doc.get("variables")
     if not isinstance(raw_vars, list):
         raise KBSyntaxError("'variables' must be a list")
     variables: dict[int, Variable] = {}
+    states_read: dict[bytes, _States] = {}
     for i, raw in enumerate(raw_vars):
-        var = _parse_variable(raw, index=i)
+        var = _parse_variable(raw, i, states_read)
         if var.id in variables:
             raise DuplicateVariableError(var.id)
         variables[var.id] = var
@@ -380,16 +389,20 @@ def parse_kb(text: str) -> KnowledgeBase:
         _parse_arc(raw, variables, where=f"arcs[{i}]")
         for i, raw in enumerate(_optional_list(doc, "arcs"))
     ]
-    read: dict[bytes, CausalArc] = {}
+    arcs_read: dict[bytes, CausalArc] = {}
     subducgs = [
-        _parse_subducg(raw, variables, f"subducgs[{i}]", read)
+        _parse_subducg(raw, variables, f"subducgs[{i}]", arcs_read)
         for i, raw in enumerate(_optional_list(doc, "subducgs"))
     ]
 
     return KnowledgeBase(variables, arcs, subducgs)
 
 
-def _parse_variable(raw: Any, index: int) -> Variable:
+# a variable's states in id order, and the set of their ids
+_States = tuple[tuple[StateDef, ...], frozenset[int]]
+
+
+def _parse_variable(raw: Any, index: int, states_read: dict[bytes, _States]) -> Variable:
     where = f"variables[{index}]"
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: variable must be an object")
@@ -401,10 +414,44 @@ def _parse_variable(raw: Any, index: int) -> Variable:
     if not isinstance(label, str):
         raise KBSyntaxError(f"{where}: label must be a string")
 
-    raw_states = raw.get("states")
+    states, declared = _read_once(
+        states_read, (raw.get("states"), raw.get("intervals")), _parse_states, where
+    )
+
+    prior = None
+    if raw.get("prior") is not None:
+        if not isinstance(raw["prior"], dict):
+            raise KBSyntaxError(f"{where}: prior must map state id to probability")
+        prior = {}
+        for key, value in raw["prior"].items():
+            sid = _state_key(key, prior, where, "prior key")
+            if sid not in declared:
+                raise UnknownReferenceError(
+                    f"{where}: prior for undeclared state {sid}", sid
+                )
+            prior[sid] = _number(value, where, "prior", float)
+        prior = dict(sorted(prior.items()))
+
+    measure_point = raw.get("measure_point")
+    if measure_point is not None and not isinstance(measure_point, str):
+        raise KBSyntaxError(f"{where}: measure_point must be a string")
+
+    return Variable(
+        id=var_id,
+        kind=kind,
+        label=label,
+        states=states,
+        prior=prior,
+        measure_point=measure_point,
+    )
+
+
+def _parse_states(raw: tuple[Any, Any], where: str) -> _States:
+    """A variable's ``(states, intervals)`` documents, read."""
+    raw_states, raw_intervals = raw
     if not isinstance(raw_states, list) or not raw_states:
         raise KBSyntaxError(f"{where}: non-empty 'states' list is required")
-    intervals = _parse_intervals(raw.get("intervals"), where)
+    intervals = _parse_intervals(raw_intervals, where)
     states: list[StateDef] = []
     seen: set[int] = set()
     for raw_state in raw_states:
@@ -427,33 +474,7 @@ def _parse_variable(raw: Any, index: int) -> Variable:
             f"{where}: interval declared for undeclared state(s) {extra}", extra[0]
         )
     states.sort(key=lambda s: s.state_id)
-
-    prior = None
-    if raw.get("prior") is not None:
-        if not isinstance(raw["prior"], dict):
-            raise KBSyntaxError(f"{where}: prior must map state id to probability")
-        prior = {}
-        for key, value in raw["prior"].items():
-            sid = _state_key(key, prior, where, "prior key")
-            if sid not in seen:
-                raise UnknownReferenceError(
-                    f"{where}: prior for undeclared state {sid}", sid
-                )
-            prior[sid] = _number(value, where, "prior", float)
-        prior = dict(sorted(prior.items()))
-
-    measure_point = raw.get("measure_point")
-    if measure_point is not None and not isinstance(measure_point, str):
-        raise KBSyntaxError(f"{where}: measure_point must be a string")
-
-    return Variable(
-        id=var_id,
-        kind=kind,
-        label=label,
-        states=tuple(states),
-        prior=prior,
-        measure_point=measure_point,
-    )
+    return tuple(states), frozenset(seen)
 
 
 def _parse_intervals(raw: Any, where: str) -> dict[int, tuple[float, float]]:
@@ -487,6 +508,7 @@ def _parse_arc(
     raw_matrix = raw.get("matrix")
     if not isinstance(raw_matrix, dict):
         raise KBSyntaxError(f"{where}: 'matrix' object is required")
+    # rows and cells in state id order; a dict of one key is in order already
     matrix: dict[int, dict[int, float]] = {}
     for k_raw, row in raw_matrix.items():
         if not isinstance(row, dict):
@@ -496,7 +518,10 @@ def _parse_arc(
         for j_raw, p in row.items():
             j = _state_key(j_raw, cells, where, "matrix column key")
             cells[j] = _number(p, where, "intensity", float)
-    matrix = {k: dict(sorted(row.items())) for k, row in sorted(matrix.items())}
+        if len(cells) > 1:
+            matrix[k] = dict(sorted(cells.items()))
+    if len(matrix) > 1:
+        matrix = dict(sorted(matrix.items()))
 
     condition = None
     if raw.get("condition") is not None:
@@ -511,33 +536,34 @@ def _parse_arc(
     return CausalArc(child, parent, weight, matrix, condition)
 
 
-def _parse_arc_once(
-    raw: Any, variables: Mapping[int, Variable], where: str, read: dict[bytes, CausalArc]
-) -> CausalArc:
-    """:func:`_parse_arc`, or the arc of an identical document read before.
+def _read_once(read: dict[bytes, Any], raw: Any, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(raw, *args)``, or what it returned for an identical document
+    read before.
 
-    ``read`` maps the ``marshal`` bytes of each document read to its arc.
+    ``read`` maps the ``marshal`` bytes of each document read to its result.
     Those bytes spell out every type, every float's bits and every key order,
     so two documents share them only when parsing must read them alike.
     ``==`` would not do: ``true`` equals ``1`` and ``-0.0`` equals ``0.0``.
     Key order decides nothing, since two keys naming one state are refused,
-    so a reordered document is only read again.
+    so a reordered document is only read again. ``args`` must be the same
+    for every document of one ``read`` but for the ``where`` of an error: a
+    document that fails raises on its first occurrence.
     """
     try:
         key = marshal.dumps(raw, 2)  # version 2 writes no back-references
     except ValueError:  # nested deeper than marshal writes: read it on its own
-        return _parse_arc(raw, variables, where)
-    arc = read.get(key)
-    if arc is None:
-        arc = read[key] = _parse_arc(raw, variables, where)
-    return arc
+        return parse(raw, *args)
+    got = read.get(key)
+    if got is None:
+        got = read[key] = parse(raw, *args)
+    return got
 
 
 def _parse_subducg(
     raw: Any,
     variables: Mapping[int, Variable],
     where: str,
-    read: dict[bytes, CausalArc],
+    arcs_read: dict[bytes, CausalArc],
 ) -> SubDUCG:
     if not isinstance(raw, dict):
         raise KBSyntaxError(f"{where}: subducg must be an object")
@@ -553,10 +579,12 @@ def _parse_subducg(
             )
     if root not in ids:
         raise UnknownReferenceError(f"{where}: root {root} not in variable set", root)
+    if variables[root].kind != "B":
+        raise KBParseError(f"subgraph root {root} is not a declared B variable")
     members = {i: variables[i] for i in sorted(set(ids))}
     arcs = []
     for i, raw_arc in enumerate(_optional_list(raw, "arcs", f"{where}: ")):
-        arc = _parse_arc_once(raw_arc, variables, f"{where}.arcs[{i}]", read)
+        arc = _read_once(arcs_read, raw_arc, _parse_arc, variables, f"{where}.arcs[{i}]")
         if arc.child not in members or arc.parent not in members:
             raise UnknownReferenceError(
                 f"{where}.arcs[{i}]: arc {arc.child}<-{arc.parent} leaves the "
@@ -727,15 +755,16 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
 
         if child is None or parent is None:
             continue
+        child_states, parent_states = child.state_ids, parent.state_ids
         columns: dict[int, dict[int, float]] = {}  # parent state -> child state -> p
         for k, row in arc.matrix.items():
-            if k not in child.state_ids:
+            if k not in child_states:
                 add("DANGLING_REFERENCE", *pair, k)
             for j, p in row.items():
                 if j == 0:
                     add("NORMAL_PARENT_COLUMN", *pair)
                 else:
-                    if j not in parent.state_ids:
+                    if j not in parent_states:
                         add("DANGLING_REFERENCE", *pair, k, j)
                     columns.setdefault(j, {})[k] = p
                 if not 0.0 <= p <= 1.0:
@@ -744,9 +773,10 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
             column = columns[j]
             if sum(column.values()) > 1.0 + PROBABILITY_TOL:
                 add("COLUMN_SUM", *pair, j)
-            abnormal_sum = sum(p for k, p in column.items() if k != 0)
-            if 0 in column and abs(column[0] - (1.0 - abnormal_sum)) > PROBABILITY_TOL:
-                add("INCONSISTENT_NORMAL_ROW", *pair, j)
+            if 0 in column:
+                abnormal_sum = sum(p for k, p in column.items() if k != 0)
+                if abs(column[0] - (1.0 - abnormal_sum)) > PROBABILITY_TOL:
+                    add("INCONSISTENT_NORMAL_ROW", *pair, j)
 
     return out
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -174,3 +175,17 @@ def plant_signals():
 @pytest.fixture(scope="session")
 def report_schema():
     return json.loads((DATA / "report_schema.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def plant_doc():
+    """The (128,2x200,4) seed-11 modular KB that plant-narrowing loads first,
+    from ``perfbench/workloads.py``, which imports nothing of ``ducg``."""
+    path = SRC.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        shape = workloads.LayeredShape(128, 2, 200, 4)
+        return workloads.layered_kb(shape, 11, modular=True).doc

@@ -19,6 +19,7 @@ from ducg import (
     KBSyntaxError,
     KnowledgeBase,
     StateDef,
+    SubDUCG,
     UnknownReferenceError,
     Variable,
     compile_kb,
@@ -87,9 +88,21 @@ def test_parse_rejects_unknown_arc_reference():
     assert excinfo.value.ref == 9
 
 
-def test_parse_rejects_unsupported_version():
-    with pytest.raises(KBSyntaxError, match="version"):
-        parse_kb('{"version": 2, "variables": []}')
+@pytest.mark.parametrize(
+    "version, shown", [("2", "2"), ("true", "True"), ('"1"', "'1'")], ids=["2", "true", "string"]
+)
+def test_parse_rejects_unsupported_version(version, shown):
+    """``true`` equals 1, but no KB number may be a bool."""
+    with pytest.raises(KBSyntaxError) as excinfo:
+        parse_kb('{"version": %s, "variables": []}' % version)
+    assert str(excinfo.value) == f"unsupported format version {shown}"
+
+
+@pytest.mark.parametrize("version", [1, 1.0])
+def test_parse_accepts_version_one(version, tworoot_text):
+    doc = json.loads(tworoot_text)
+    doc["version"] = version
+    assert serialize_kb(parse_kb(json.dumps(doc))) == serialize_kb(parse_kb(tworoot_text))
 
 
 # A list field given another shape; the iteration over it used to raise a bare
@@ -138,6 +151,33 @@ def test_parse_rejects_a_kind_that_is_not_a_string(kind, tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "compile", "stream"])
+def test_a_subgraph_rooted_off_a_b_variable_is_refused(command, tmp_path):
+    """Load refuses it as ``compile`` always did, so ``validate`` and the
+    feeds no longer pass it without a word."""
+    doc = _data_doc("tworoot_modular_kb.json")
+    doc["subducgs"][0]["root"] = 3  # an X variable in that subgraph
+    message = "subgraph root 3 is not a declared B variable"
+    with pytest.raises(KBParseError) as excinfo:
+        parse_kb(json.dumps(doc))
+    assert str(excinfo.value) == message
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "validate": ["validate", str(path)],
+        "compile": ["compile", str(path), "-o", str(tmp_path / "out.json")],
+        "stream": ["stream", "--kb", str(path)],
+    }[command]
+    proc = run_cli(*argv, stdin_text="")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_compile_kb_still_refuses_a_python_subgraph_rooted_off_a_b_variable():
+    sub = SubDUCG(root=2, variables={1: make_var(1, "B"), 2: make_var(2)}, arcs=())
+    with pytest.raises(KBParseError, match="^subgraph root 2 is not a declared B variable$"):
+        compile_kb([sub])
 
 
 def test_parse_reads_null_list_fields_as_empty():

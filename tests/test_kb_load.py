@@ -1,14 +1,13 @@
-"""Loading a knowledge base: ``parse_kb`` reads each distinct subgraph arc
-document once, and ``decompose`` visits default causes only where they feed a
-closure. Both must load exactly what reading every document on its own, and
-the former ``decompose``, give."""
+"""Loading a knowledge base: ``parse_kb`` reads each distinct state and
+subgraph arc document once, and ``decompose`` visits default causes only
+where they feed a closure. They must load exactly what reading every document
+on its own, the frozen copy of the former loader and the former
+``decompose`` give."""
 
 import heapq
-import importlib.util
 import json
 import math
 import random
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -26,28 +25,17 @@ from ducg import (
     kb as kb_module,
     parse_kb,
     serialize_kb,
+    validate_kb,
 )
 from ducg.kb import _parse_arc, reach
 
+import kb_load_reference
 from generators import random_kb
+from test_kb_fuzz import KBS, MUTATIONS, mutate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 FIXTURES = sorted(DATA.glob("*_kb.json"))
-
-
-@pytest.fixture(scope="module")
-def plant_doc():
-    """The (128,2x200,4) seed-11 modular KB that plant-narrowing loads first,
-    from ``perfbench/workloads.py``, which imports nothing of ``ducg``."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
-        shape = workloads.LayeredShape(128, 2, 200, 4)
-        return workloads.layered_kb(shape, 11, modular=True).doc
 
 
 def read_once(text):
@@ -56,20 +44,28 @@ def read_once(text):
 
 
 def read_each_on_its_own(text):
-    """``parse_kb`` as it was: every arc document read by ``_parse_arc``."""
-    def on_its_own(raw, variables, where, read):
-        return _parse_arc(raw, variables, where)
+    """``parse_kb`` with every state and arc document read on its own."""
+    def on_its_own(read, raw, parse, *args):
+        return parse(raw, *args)
 
-    with mock.patch.object(kb_module, "_parse_arc_once", on_its_own):
+    with mock.patch.object(kb_module, "_read_once", on_its_own):
         return parse_kb(text)
 
 
 def outcome(load, text):
-    """What ``load`` makes of ``text``: the canonical bytes, or the error."""
+    """What ``load`` makes of ``text``: the canonical bytes, the
+    ``validate_kb`` findings and the ``repr`` of every variable and fused arc,
+    which tells ``-0.0`` from ``0.0``; or the error's type and text."""
     try:
-        return serialize_kb(load(text))
+        kb = load(text)
     except DucgError as exc:
         return (type(exc).__name__, str(exc))
+    return (
+        serialize_kb(kb),
+        [v.to_json() for v in validate_kb(kb)],
+        [repr(var) for var in kb.variables.values()],
+        [repr(arc) for arc in kb.arcs],
+    )
 
 
 # --- each document read once -------------------------------------------------
@@ -186,8 +182,9 @@ def test_a_repeat_that_equals_fools_keeps_its_outcome(case, same_subgraph):
     text = _two_roots(first, repeat, same_subgraph=same_subgraph)
     got = outcome(read_once, text)
     assert got == outcome(read_each_on_its_own, text)
+    assert got == outcome(kb_load_reference.parse_kb, text)
     if expected == "loads":
-        assert isinstance(got, str)
+        assert len(got) == 4
     elif same_subgraph:
         # the one subgraph sorts nothing before reading: the repeat is arcs[1] of subducgs[0]
         assert expected.replace("subducgs[1]", "subducgs[0]") in got[1]
@@ -237,7 +234,7 @@ def test_repeats_nested_near_the_recursion_limit_load_as_on_their_own():
         text = _two_roots(_arc(note="@"), _arc(note="@")).replace('"@"', nested)
         got = outcome(read_once, text)
         assert got == outcome(read_each_on_its_own, text), depth
-        outcomes.add(isinstance(got, str))
+        outcomes.add(len(got) == 4)
     assert outcomes == {True, False}  # some depths load, the deepest do not
 
 
@@ -248,8 +245,123 @@ def test_a_document_nested_deeper_than_marshal_writes_is_read_on_its_own():
     for _ in range(2_500):
         nested = [nested]
     variables = parse_kb(_two_roots(_arc(), _arc())).variables
-    arc = kb_module._parse_arc_once(_arc(note=nested), variables, "arcs[0]", {})
+    arc = kb_module._read_once({}, _arc(note=nested), _parse_arc, variables, "arcs[0]")
     assert arc == _parse_arc(_arc(), variables, "arcs[0]")
+
+
+# --- each state document read once -------------------------------------------
+
+
+def _gauge(states=None, intervals=None):
+    """The ``states`` and ``intervals`` documents of a gauged two-state variable."""
+    return {
+        "states": states if states is not None else [{"id": 0}, {"id": 1}],
+        "intervals": intervals if intervals is not None else {"0": [-1.0, 1.0], "1": [1.0, 10.0]},
+    }
+
+
+def _two_gauged(first, repeat):
+    """A document whose X2 and X3 hold the state documents ``first`` and
+    ``repeat``, which ``==`` may take for one another."""
+    variables = [
+        {"id": 1, "kind": "B", "states": [{"id": 0}, {"id": 1}], "prior": {"1": 0.1}},
+        {"id": 2, "kind": "X", "measure_point": "MP2", **first},
+        {"id": 3, "kind": "X", "measure_point": "MP3", **repeat},
+    ]
+    arcs = [{"child": child, "parent": 1, "matrix": {"1": {"1": 0.5}}} for child in (2, 3)]
+    return json.dumps({"version": 1, "variables": variables, "arcs": arcs})
+
+
+_SIGNED_ZERO = {"0": [-1.0, 0.0], "1": [0.0, 1.0]}
+_NEGATIVE_ZERO = {"0": [-1.0, -0.0], "1": [-0.0, 1.0]}
+
+# (first, repeat, what the repeat must end in), as in ``REPEATS``
+STATE_REPEATS = {
+    "true against 1 in a state id": (
+        _gauge(), _gauge(states=[{"id": 0}, {"id": True}]),
+        "variables[2]: state id must be an integer, got True"),
+    "true against a string in a state name": (
+        _gauge(states=[{"id": 0}, {"id": 1, "name": "high"}]),
+        _gauge(states=[{"id": 0}, {"id": 1, "name": True}]),
+        "variables[2]: state 1 name must be a string"),
+    "1 against 1.0 in an interval bound": (
+        _gauge(), _gauge(intervals={"0": [-1.0, 1], "1": [1, 10.0]}), "loads"),
+    "-0.0 against 0.0 in an interval bound": (
+        _gauge(intervals=_SIGNED_ZERO), _gauge(intervals=_NEGATIVE_ZERO), "loads"),
+    "0.0 against -0.0 in an interval bound": (
+        _gauge(intervals=_NEGATIVE_ZERO), _gauge(intervals=_SIGNED_ZERO), "loads"),
+    "states listed in another order": (
+        _gauge(), _gauge(states=[{"id": 1}, {"id": 0}]), "loads"),
+    "intervals listed in another order": (
+        _gauge(), _gauge(intervals={"1": [1.0, 10.0], "0": [-1.0, 1.0]}), "loads"),
+    "an intervals key 01 against 1": (
+        _gauge(), _gauge(intervals={"0": [-1.0, 1.0], "01": [1.0, 10.0]}), "loads"),
+    "no intervals against intervals": (
+        {"states": [{"id": 0}, {"id": 1}]}, _gauge(), "loads"),
+    "an equal repeat": (_gauge(), _gauge(), "loads"),
+    # a document that fails raises on its first occurrence
+    "a repeat of a failing document": (
+        _gauge(states=[{"id": 0}, {"id": 0}]), _gauge(states=[{"id": 0}, {"id": 0}]),
+        "variables[1]: duplicate state id 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_REPEATS))
+def test_a_state_document_that_equals_fools_keeps_its_outcome(case):
+    first, repeat, expected = STATE_REPEATS[case]
+    text = _two_gauged(first, repeat)
+    got = outcome(parse_kb, text)
+    assert got == outcome(read_each_on_its_own, text)
+    assert got == outcome(kb_load_reference.parse_kb, text)
+    if expected == "loads":
+        assert len(got) == 4
+    else:
+        assert got[1] == expected
+
+
+@pytest.mark.parametrize("first, repeat, shared", [
+    (_gauge(), _gauge(), True),
+    (_gauge(intervals=_NEGATIVE_ZERO), _gauge(intervals=_NEGATIVE_ZERO), True),
+    (_gauge(intervals=_SIGNED_ZERO), _gauge(intervals=_NEGATIVE_ZERO), False),
+    (_gauge(), _gauge(intervals={"0": [-1.0, 1], "1": [1, 10.0]}), False),
+    (_gauge(), _gauge(states=[{"id": 1}, {"id": 0}]), False),
+    (_gauge(), {"states": [{"id": 0}, {"id": 1}]}, False),
+])
+def test_only_an_identical_state_document_shares_the_first_ones_states(first, repeat, shared):
+    kb = parse_kb(_two_gauged(first, repeat))
+    assert (kb.variables[2].states is kb.variables[3].states) == shared
+
+
+def test_prior_checks_run_on_each_variable_of_a_shared_state_document():
+    """The states are read once; each variable's prior is still checked
+    against them."""
+    doc = json.loads(_two_gauged(_gauge(), _gauge()))
+    doc["variables"][2] = {"id": 3, "kind": "B", **_gauge(), "prior": {"2": 0.1}}
+    with pytest.raises(DucgError) as excinfo:
+        parse_kb(json.dumps(doc))
+    assert str(excinfo.value) == "variables[2]: prior for undeclared state 2"
+
+
+# --- the loader against its frozen copy ---------------------------------------
+
+
+def test_the_loader_equals_its_frozen_copy(plant_doc):
+    """The fixtures, the plant document and the KB fuzzer's mutations load
+    to the same bytes, findings and records, or fail with the same error.
+    No mutation sets ``version`` to ``true`` or roots a subgraph off a B
+    variable, the two refusals the frozen copy lacks, so none is exempt."""
+    docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
+    texts = _texts(plant_doc)
+    for seed in range(MUTATIONS):
+        rng = random.Random(seed)
+        texts.append(json.dumps(mutate(rng.choice(docs), rng)))
+    loads = 0
+    for text in texts:
+        got = outcome(parse_kb, text)
+        assert got == outcome(kb_load_reference.parse_kb, text), text
+        loads += len(got) == 4
+    # measured: 132 of the 1,005 documents load
+    assert loads >= 120, loads
 
 
 # --- decompose ---------------------------------------------------------------

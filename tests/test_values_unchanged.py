@@ -1,13 +1,22 @@
-"""Nothing changes a value the stream has handed out.
+"""Nothing changes a value the stream has handed out, or a record of the
+knowledge base it runs on.
 
 The snapshot, slice, layer, hypothesis and report types are slotted
 dataclasses, so nothing guards their fields, and they are shared across
 ticks: an unchanged tick's snapshot holds the previous snapshot's
 assignments, and a memo hit hands out stored slices and tuples again. So the
 ``repr`` of each snapshot, report and layer, taken when it is returned, must
-still read the same once the whole stream has run."""
+still read the same once the whole stream has run.
 
+The KB's records are slotted or plain dataclasses too, and just as shared:
+variables and subgraphs that repeat a state or arc document hold one object,
+and every subgraph of the session holds the KB's own variables and arcs. So
+the ``repr`` of each variable, state, arc and subgraph, taken before the
+session is built, must still read the same once the stream has run."""
+
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,13 +28,29 @@ DATA = Path(__file__).parent / "data"
 STREAMS = 200
 
 
+def records(kb, subgraphs=()):
+    """Each variable, state, arc and subgraph of ``kb``, and each of
+    ``subgraphs``, with its ``repr`` now."""
+    found = []
+    for var in kb.variables.values():
+        found += [var, *var.states]
+    found += [*kb.doc_arcs, *kb.arcs]
+    for sub in (*kb.subducgs, *subgraphs):
+        found += [sub, *sub.variables.values(), *sub.arcs]
+    return [(record, repr(record)) for record in found]
+
+
 def drive(kb, batches):
     """Run ``(tick, readings)`` batches through the gateway and a session.
-    Return each value handed out with its ``repr`` at that moment, and how
-    many snapshots held the previous snapshot's assignments and how many
-    layers held a slice handed out before."""
+    Return each value handed out, and each record of ``kb`` and of the
+    session's subgraphs, with its ``repr`` at that moment; and how many
+    snapshots held the previous snapshot's assignments and how many layers
+    held a slice handed out before. The KB's records are taken before the
+    session is built, so a change made while building it shows too."""
+    handed = records(kb)
     session = DiagnosisSession(kb)
-    handed, slices = [], set()
+    handed += records(kb, session._subs.values())
+    slices = set()
     shared_assignments = shared_slices = 0
     prev = None
     for tick, readings in batches:
@@ -56,9 +81,10 @@ def gauged(kb):
 
 
 def chattering_batches(rng, kb, ticks=40):
-    """Batches of 0-3 readings of random observables. After the first few,
-    four in ten repeat one of the last eight batches, so evidence patterns
-    come back and ticks often change nothing."""
+    """Batches of 0-3 readings of random observables, each the midpoint of
+    one of its bands. After the first few, four in ten repeat one of the
+    last eight batches, so evidence patterns come back and ticks often
+    change nothing."""
     observables = [var for var in kb.variables.values() if var.measure_point]
     batches = []
     for tick in range(ticks):
@@ -66,7 +92,7 @@ def chattering_batches(rng, kb, ticks=40):
             readings = rng.choice(batches[-8:])[1]
         else:
             readings = [
-                (var.measure_point, float(rng.choice(var.state_ids)))
+                (var.measure_point, sum(rng.choice(var.bands)[:2]) / 2)
                 for var in rng.sample(observables, rng.randint(0, min(3, len(observables))))
             ]
         batches.append((tick, readings))
@@ -92,3 +118,14 @@ def test_no_value_handed_out_changes():
     assert [repr(value) for value, _ in handed] == [taken for _, taken in handed]
     # the test means something only where values are shared
     assert shared_assignments > 1_000 and shared_slices > 300, (shared_assignments, shared_slices)
+
+
+def test_no_record_of_the_plant_kb_changes(plant_doc):
+    """The plant document's 400 observables carry one state document, so
+    they hold one ``states`` object, which a change through any of them
+    would change for all."""
+    kb = parse_kb(json.dumps(plant_doc))
+    ((_, sharing),) = Counter(id(var.states) for var in kb.variables.values()).most_common(1)
+    assert sharing >= 400, sharing
+    handed, _, _ = drive(kb, chattering_batches(random.Random(11), kb, ticks=12))
+    assert [repr(value) for value, _ in handed] == [taken for _, taken in handed]
