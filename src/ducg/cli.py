@@ -14,20 +14,18 @@ from collections import OrderedDict, deque
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
-from .algebra import RootLiteral
 from .dot import export_dot
 from .engine import _MEMO_SIZE, CubicGraph, DiagnosisReport, DiagnosisSession, predict
 from .errors import DucgError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
-from .signals import ingest_tick, iter_reading_groups
+from .signals import EvidenceSnapshot, ingest_tick, iter_reading_groups
 
 _JSON_SEPARATORS = (",", ":")
 _ENCODER = json.JSONEncoder(separators=_JSON_SEPARATORS)  # what ``json.dumps`` builds per call
 _PROBABILITY_FLOOR = 1e-5
-_NO_RECOVERY_RETRIGGER_HELP = "do not re-diagnose when an abnormal variable returns to normal"
 # Layers a ``--dot-dir`` file draws, a bound however long a session runs. The
 # longest fixture session (the chatter feed) has 13 layers, drawn whole.
 _DOT_LAYERS = 16
@@ -152,6 +150,27 @@ def _warn_on(err: IO[str], what: str) -> Callable[[int, Exception], None]:
     return warn
 
 
+def _fold(
+    session: DiagnosisSession, lines: Iterable[str], err: IO[str], recovery_retrigger: bool
+) -> Iterator[tuple[EvidenceSnapshot, bool, DiagnosisReport | None]]:
+    """Fold a feed into ``session``, one tick at a time.
+
+    Yields each tick's ``(snapshot, trigger, report)``: ``report`` is the
+    session's diagnosis of a trigger with abnormal evidence, and None on any
+    other tick. Unreadable lines and readings are warned about on ``err``
+    and skipped.
+    """
+    kb = session.kb
+    snapshot = None
+    warn_tick = _warn_on(err, "tick")
+    for tick, readings in iter_reading_groups(lines, on_error=_warn_on(err, "line")):
+        snapshot, trigger = ingest_tick(
+            snapshot, tick, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
+        )
+        diagnosed = trigger and snapshot.abnormal_set
+        yield snapshot, trigger, session.diagnose_tick(snapshot) if diagnosed else None
+
+
 def _run_feed(
     session: DiagnosisSession,
     lines: Iterable[str],
@@ -165,20 +184,12 @@ def _run_feed(
     recovery_retrigger: bool = True,
 ) -> int:
     kb = session.kb
-    prev = None
     exit_code = 0
     drawn: dict[int, tuple[int, deque[CubicGraph]]] = {}  # root -> (layers so far, last ones)
     members: OrderedDict = OrderedDict()  # ``_report_line``'s cache, one per feed
 
-    warn_tick = _warn_on(err, "tick")
-    for tick, readings in iter_reading_groups(lines, on_error=_warn_on(err, "line")):
-        snapshot, trigger = ingest_tick(
-            prev, tick, readings, kb, retrigger_on_recovery=recovery_retrigger, on_error=warn_tick
-        )
-        prev = snapshot
-
-        if trigger and snapshot.abnormal_set:
-            report = session.diagnose_tick(snapshot)
+    for snapshot, _, report in _fold(session, lines, err, recovery_retrigger):
+        if report is not None:
             _emit_report(report, kb, out, pretty=pretty, with_timing=with_timing, cache=members)
             if dot_dir is not None:
                 extended = {}  # alive roots only: a root that left is dropped
@@ -192,7 +203,7 @@ def _run_feed(
                 exit_code = 2
         elif verbose:
             idle = DiagnosisReport(
-                tick=tick,
+                tick=snapshot.tick,
                 status="no_trigger",
                 hypotheses=(),
                 abnormal=tuple(snapshot.abnormal_items()),
@@ -220,7 +231,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     violations = validate_kb(kb)
     for v in violations:
-        print(json.dumps(v.to_json(), separators=_JSON_SEPARATORS))
+        print(_ENCODER.encode(v.to_json()))
     return 1 if violations else 0
 
 
@@ -231,7 +242,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         # ``kb.arcs`` also holds the top-level arcs: split it, not the declared subgraphs
         subgraphs.extend(decompose(kb) if kb.doc_arcs or not kb.subducgs else kb.subducgs)
     selection = None
-    if args.roots:
+    if args.roots is not None:
         try:
             selection = [int(r) for r in args.roots.split(",")]
         except ValueError:
@@ -269,12 +280,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     kb, lines = _open_feed(args)
     root_var = kb.variables.get(args.root)
-    if (
-        root_var is None
-        or root_var.kind != "B"
-        or args.state not in root_var.state_ids
-        or args.state == 0
-    ):
+    if root_var is None or root_var.kind != "B" or args.state not in root_var.abnormal_state_ids:
         print(
             f"error: root {args.root} state {args.state} is not a declared "
             "abnormal fault state",
@@ -285,16 +291,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     # the evidence of the last triggering tick, which an all-normal recovery
     # is too, though it has nothing to diagnose; none before a trigger
     states: Mapping[int, int] = {}
-    prev, warn_tick = None, _warn_on(sys.stderr, "tick")
-    for tick, readings in iter_reading_groups(lines, on_error=_warn_on(sys.stderr, "line")):
-        prev, trigger = ingest_tick(
-            prev, tick, readings, kb,
-            retrigger_on_recovery=not args.no_recovery_retrigger, on_error=warn_tick,
-        )
+    for snapshot, trigger, _ in _fold(session, lines, sys.stderr, not args.no_recovery_retrigger):
         if trigger:
-            states = prev.assignments
-            if prev.abnormal_set:
-                session.diagnose_tick(prev)
+            states = snapshot.assignments
     if args.root not in session.alive_roots:
         print(
             f"error: root {args.root} is not in the surviving hypothesis space",
@@ -302,7 +301,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         )
         return 2
     sub = next(s for s in decompose(kb) if s.root == args.root)
-    rows = predict(sub, states, kb, RootLiteral(args.root, args.state))
+    rows = predict(sub, states, kb, args.state)
     payload = {
         "root": args.root,
         "state": args.state,
@@ -310,21 +309,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             {"var": v, "state": s, "probability": p} for v, s, p in rows
         ],
     }
-    print(json.dumps(payload, separators=_JSON_SEPARATORS))
+    print(_ENCODER.encode(payload))
     return 0
-
-
-def _add_feed_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kb", required=True, help="knowledge base JSON file")
-    sub.add_argument("--verbose", action="store_true", help="also report non-triggering ticks")
-    sub.add_argument("--pretty", action="store_true", help="human tables instead of JSON lines")
-    sub.add_argument("--no-timing", action="store_true", help="emit timing_ms as 0.0 (deterministic output)")
-    sub.add_argument("--dot-dir", default=None, help="write per-root DOT graphs here")
-    sub.add_argument(
-        "--no-recovery-retrigger",
-        action="store_true",
-        help=_NO_RECOVERY_RETRIGGER_HELP,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,6 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    feed = argparse.ArgumentParser(add_help=False)  # what every feed command reads
+    feed.add_argument("--kb", required=True, help="knowledge base JSON file")
+    feed.add_argument(
+        "--no-recovery-retrigger",
+        action="store_true",
+        help="do not re-diagnose when an abnormal variable returns to normal",
+    )
+    reports = argparse.ArgumentParser(add_help=False)  # how replay and stream write reports
+    reports.add_argument("--verbose", action="store_true", help="also report non-triggering ticks")
+    reports.add_argument("--pretty", action="store_true", help="human tables instead of JSON lines")
+    reports.add_argument("--no-timing", action="store_true", help="emit timing_ms as 0.0 (deterministic output)")
+    reports.add_argument("--dot-dir", default=None, help="write per-root DOT graphs here")
+
     p = commands.add_parser("validate", help="rule-check a knowledge base")
     p.add_argument("kb")
     p.set_defaults(func=_cmd_validate)
@@ -347,25 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", default=None, help="comma-separated root ids to include")
     p.set_defaults(func=_cmd_compile)
 
-    p = commands.add_parser("replay", help="diagnose a recorded signal file")
-    _add_feed_flags(p)
+    p = commands.add_parser("replay", help="diagnose a recorded signal file", parents=[feed, reports])
     p.add_argument("--signals", required=True, help="CSV signal file")
     p.set_defaults(func=_cmd_replay)
 
-    p = commands.add_parser("stream", help="diagnose a live feed on stdin")
-    _add_feed_flags(p)
+    p = commands.add_parser("stream", help="diagnose a live feed on stdin", parents=[feed, reports])
     p.set_defaults(func=_cmd_replay)
 
-    p = commands.add_parser("predict", help="forward-propagate a fault hypothesis")
-    p.add_argument("--kb", required=True)
+    p = commands.add_parser("predict", help="forward-propagate a fault hypothesis", parents=[feed])
     p.add_argument("--signals", default=None, help="CSV signal file (default: stdin)")
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--state", type=int, required=True)
-    p.add_argument(
-        "--no-recovery-retrigger",
-        action="store_true",
-        help=_NO_RECOVERY_RETRIGGER_HELP,
-    )
     p.set_defaults(func=_cmd_predict)
 
     return parser
@@ -376,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DucgError as exc:
+    except (OSError, DucgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

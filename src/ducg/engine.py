@@ -86,7 +86,6 @@ from .errors import (
     CycleLimitError,
     InvalidKnowledgeBaseError,
     NoAbnormalEvidenceError,
-    RootMismatchError,
 )
 from .kb import (
     CausalArc,
@@ -683,12 +682,12 @@ class DiagnosisSession:
 
 
 def predict(
-    sub: SubDUCG, states: Mapping[int, int], kb: KnowledgeBase, hyp: RootLiteral
+    sub: SubDUCG, states: Mapping[int, int], kb: KnowledgeBase, fault_state: int
 ) -> list[tuple[int, int, float]]:
-    """Forward-propagate ``hyp`` (assumed certain) through the root's subgraph
-    ``sub``, given the evidence ``states`` (a snapshot's assignments, of
-    which only ``sub``'s variables are read, or nothing before the first
-    trigger).
+    """Forward-propagate the fault ``sub.root`` in state ``fault_state``
+    (assumed certain) through the root's subgraph ``sub``, given the evidence
+    ``states`` (a snapshot's assignments, of which only ``sub``'s variables
+    are read, or nothing before the first trigger).
 
     Returns ``(var, state, probability)`` for every abnormal state of every
     variable of ``sub``, its B and D variables aside, that is not abnormal
@@ -698,10 +697,6 @@ def predict(
     chains nest past the interpreter's recursion limit, raises
     :class:`CycleLimitError`.
     """
-    if hyp.var != sub.root:
-        raise RootMismatchError(
-            f"hypothesis {hyp.var} does not match graph root {sub.root}"
-        )
     arcs = [a for a in sub.arcs if a.child != a.parent]
     families = _families(arcs)
     parents = {v: [arc.parent for arc, _, _ in family] for v, family in families.items()}
@@ -729,8 +724,8 @@ def predict(
         return on_cycle[var]
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
-        if var == hyp.var:
-            return 1.0 if state == hyp.state else 0.0
+        if var == sub.root:
+            return 1.0 if state == fault_state else 0.0
         if kb.variables[var].kind == "D":
             return 1.0
         key = (var, state, seen.intersection(cycle_through(var)))

@@ -99,10 +99,6 @@ class NoAbnormalEvidenceError(DucgError):
     code = "NO_ABNORMAL_EVIDENCE"
 
 
-class RootMismatchError(DucgError):
-    code = "ROOT_MISMATCH"
-
-
 class CycleLimitError(DucgError):
     code = "CYCLE_LIMIT"
 

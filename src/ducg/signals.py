@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -164,13 +165,19 @@ def iter_reading_groups(
     batches, one per tick.
 
     Comment lines (``#``), blank lines, and header lines (any line starting
-    ``tick,``, in any case, wherever it appears) are skipped.
+    ``tick,``, in any case, wherever it appears) are skipped. A UTF-8
+    byte-order mark opening the first line, as spreadsheet "CSV UTF-8"
+    exports write, is dropped; one anywhere else leaves its line malformed.
     A malformed or tick-regressing line raises ``MalformedLineError``, or
     with ``on_error`` is reported as (line number, exception) and skipped,
     so a live stream survives bad input.
     """
     current_tick: int | None = None
     batch: list[tuple[str, float]] = []
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is not None:
+        lines = chain((first.removeprefix("\ufeff"),), lines)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":

@@ -1,6 +1,10 @@
 """End-to-end command line behaviour, run through real subprocesses."""
 
+import argparse
+import codecs
+import io
 import json
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
@@ -8,12 +12,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducg.cli import _JSON_SEPARATORS, _report_json, _report_line
+from ducg import DiagnosisSession, decompose, ingest_tick, iter_reading_groups, parse_kb, predict
+from ducg.cli import _JSON_SEPARATORS, _report_json, _report_line, build_parser, main
 from ducg.engine import _MEMO_SIZE, DiagnosisReport, HypothesisResult
 
 from conftest import run_cli
 
 DATA = Path(__file__).parent / "data"
+# Each fixture feed with the KB it was written for, and the chatter feed
+# with the modular form of that KB too.
+FEED_PAIRS = [
+    ("tworoot_kb.json", "tworoot_signals.csv"),
+    ("tworoot_modular_kb.json", "tworoot_signals.csv"),
+    ("tworoot_kb.json", "tworoot_allnormal_signals.csv"),
+    ("tworoot_orphan_kb.json", "orphan_signals.csv"),
+    ("plant24_kb.json", "plant24_signals.csv"),
+    ("tworoot_kb.json", "tworoot_chatter_signals.csv"),
+    ("tworoot_modular_kb.json", "tworoot_chatter_signals.csv"),
+]
 
 
 def json_lines(stdout):
@@ -158,6 +174,18 @@ def test_compile_rejects_non_integer_root_ids(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_compile_rejects_an_empty_root_list(tmp_path):
+    """An empty ``--roots`` is given, and names no root: it is refused, not
+    read as "every root"."""
+    out = tmp_path / "x.json"
+    proc = run_cli(
+        "compile", str(DATA / "tworoot_modular_kb.json"), "-o", str(out), "--roots", ""
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --roots takes comma-separated root ids: ''\n"
     assert not out.exists()
 
 
@@ -364,6 +392,53 @@ def test_stream_survives_malformed_input():
     assert len(json_lines(proc.stdout)) == 1
 
 
+# --- a feed that opens with a byte-order mark ---------------------------------------
+
+
+def run_main(argv, capsys, monkeypatch, stdin_text=""):
+    """``main(argv)`` in-process: its exit code, stdout and stderr."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("kb,signals", FEED_PAIRS)
+def test_a_feed_opening_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, monkeypatch, kb, signals):
+    """Spreadsheet "CSV UTF-8" exports open with a UTF-8 byte-order mark:
+    ``replay``, ``stream`` and ``predict`` read such a copy of each fixture
+    feed exactly as they read the feed."""
+    plain = DATA / signals
+    marked = tmp_path / signals
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    runs = []
+    for feed in (plain, marked):
+        text = feed.read_text(encoding="utf-8")
+        runs.append([
+            run_main(["replay", "--kb", str(DATA / kb), "--signals", str(feed), "--no-timing"], capsys, monkeypatch),
+            run_main(["stream", "--kb", str(DATA / kb), "--no-timing"], capsys, monkeypatch, text),
+            run_main(["predict", "--kb", str(DATA / kb), "--signals", str(feed), "--root", "2", "--state", "1"],
+                     capsys, monkeypatch),
+        ])
+    assert text.startswith("\ufeff")
+    assert runs[0] == runs[1]
+
+
+def test_a_byte_order_mark_before_the_first_reading_keeps_it(tmp_path):
+    """The mark is dropped where the first reading starts, too: tick 1 is
+    diagnosed on both readings, as without the mark."""
+    feed = "1,MP05,3.2\n1,MP06,4.0\n"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + feed.encode())
+    kb = str(DATA / "tworoot_kb.json")
+    want = run_cli("stream", "--kb", kb, "--no-timing", stdin_text=feed)
+    assert (want.returncode, want.stderr) == (0, "")
+    assert json_lines(want.stdout)[0]["evidence"]["abnormal"] == [{"var": 5, "state": 1}, {"var": 6, "state": 1}]
+    streamed = run_cli("stream", "--kb", kb, "--no-timing", stdin_text="\ufeff" + feed)
+    replayed = run_cli("replay", "--kb", kb, "--signals", str(marked), "--no-timing")
+    for got in (streamed, replayed):
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+
+
 # --- predict ----------------------------------------------------------------------
 
 
@@ -497,6 +572,85 @@ def test_predict_help_lists_no_recovery_retrigger():
     proc = run_cli("predict", "--help")
     assert proc.returncode == 0
     assert "--no-recovery-retrigger" in proc.stdout
+
+
+@pytest.mark.parametrize("kb_name,signals", FEED_PAIRS)
+def test_cli_forecast_is_the_api_forecast_on_the_last_trigger(capsys, monkeypatch, kb_name, signals):
+    """``ducg predict`` forecasts every abnormal state of every B root from
+    the evidence of the feed's last triggering tick, an all-normal recovery
+    included, or from none before a trigger; and it exits 2 exactly when
+    the root has left the hypothesis space. Both are rebuilt here from the
+    gateway and a session."""
+    kb = parse_kb((DATA / kb_name).read_text(encoding="utf-8"))
+    lines = (DATA / signals).read_text(encoding="utf-8").splitlines()
+    subs = {sub.root: sub for sub in decompose(kb)}
+    roots = [v for v in kb.variables.values() if v.kind == "B"]
+    for retrigger in (True, False):
+        session, snapshot, states = DiagnosisSession(kb), None, {}
+        for tick, readings in iter_reading_groups(lines):
+            snapshot, trigger = ingest_tick(snapshot, tick, readings, kb, retrigger_on_recovery=retrigger)
+            if trigger:
+                states = snapshot.assignments
+                if snapshot.abnormal_set:
+                    session.diagnose_tick(snapshot)
+        flags = [] if retrigger else ["--no-recovery-retrigger"]
+        for root in roots:
+            for state in root.abnormal_state_ids:
+                argv = ["predict", "--kb", str(DATA / kb_name), "--signals", str(DATA / signals),
+                        "--root", str(root.id), "--state", str(state), *flags]
+                code, out, err = run_main(argv, capsys, monkeypatch)
+                if root.id not in session.alive_roots:
+                    assert (code, out) == (2, ""), argv
+                    assert err == f"error: root {root.id} is not in the surviving hypothesis space\n"
+                    continue
+                assert (code, err) == (0, ""), argv
+                payload = json.loads(out)
+                assert (payload["root"], payload["state"]) == (root.id, state)
+                rows = [(p["var"], p["state"], p["probability"]) for p in payload["predictions"]]
+                assert rows == predict(subs[root.id], states, kb, state), argv
+
+
+# Every option of the feed commands: its names -> (required, default,
+# action, type, help). The order of the options is free; predict's ``--kb``
+# reads its help text from the parser the three commands share.
+_HELP = (False, argparse.SUPPRESS, "_HelpAction", None, "show this help message and exit")
+_KB = (True, None, "_StoreAction", None, "knowledge base JSON file")
+_NO_RETRIGGER = (
+    False, False, "_StoreTrueAction", None, "do not re-diagnose when an abnormal variable returns to normal"
+)
+_REPORT_OPTIONS = {
+    ("-h", "--help"): _HELP,
+    ("--kb",): _KB,
+    ("--verbose",): (False, False, "_StoreTrueAction", None, "also report non-triggering ticks"),
+    ("--pretty",): (False, False, "_StoreTrueAction", None, "human tables instead of JSON lines"),
+    ("--no-timing",): (
+        False, False, "_StoreTrueAction", None, "emit timing_ms as 0.0 (deterministic output)"
+    ),
+    ("--dot-dir",): (False, None, "_StoreAction", None, "write per-root DOT graphs here"),
+    ("--no-recovery-retrigger",): _NO_RETRIGGER,
+}
+FEED_OPTIONS = {
+    "replay": {**_REPORT_OPTIONS, ("--signals",): (True, None, "_StoreAction", None, "CSV signal file")},
+    "stream": _REPORT_OPTIONS,
+    "predict": {
+        ("-h", "--help"): _HELP,
+        ("--kb",): _KB,
+        ("--signals",): (False, None, "_StoreAction", None, "CSV signal file (default: stdin)"),
+        ("--root",): (True, None, "_StoreAction", int, None),
+        ("--state",): (True, None, "_StoreAction", int, None),
+        ("--no-recovery-retrigger",): _NO_RETRIGGER,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FEED_OPTIONS))
+def test_feed_commands_keep_every_option(command):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        tuple(a.option_strings): (a.required, a.default, type(a).__name__, a.type, a.help)
+        for a in commands.choices[command]._actions
+    }
+    assert options == FEED_OPTIONS[command]
 
 
 # --- formatting -------------------------------------------------------------------

@@ -26,7 +26,6 @@ from ducg import (
     NoAbnormalEvidenceError,
     Product,
     RootLiteral,
-    RootMismatchError,
     StateDef,
     Variable,
     check_valid,
@@ -921,7 +920,7 @@ def test_long_session_memory_is_bounded(tworoot_kb):
 def test_predict_golden_first_tick(tworoot_kb):
     # the first tick's state for B1, rebuilt directly
     sub = subs_by_root(tworoot_kb)[1]
-    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(1, 1))
+    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, 1)
     assert rows == [
         (3, 1, pytest.approx(0.5)),
         (6, 1, pytest.approx(0.4)),
@@ -931,22 +930,16 @@ def test_predict_golden_first_tick(tworoot_kb):
 
 def test_predict_excludes_current_abnormal_and_roots(tworoot_kb):
     sub = subs_by_root(tworoot_kb)[2]
-    rows = predict(sub, simplify(sub, snapshot(16, T2)).states, tworoot_kb, RootLiteral(2, 2))
+    rows = predict(sub, simplify(sub, snapshot(16, T2)).states, tworoot_kb, 2)
     assert rows == [(7, 1, pytest.approx(0.8)), (4, 1, pytest.approx(0.35))]
     predicted = {v for v, _, _ in rows}
     assert 5 not in predicted and 6 not in predicted  # currently abnormal
     assert 2 not in predicted  # the hypothesis root itself
 
 
-def test_predict_rejects_foreign_hypothesis(tworoot_kb):
-    sub = subs_by_root(tworoot_kb)[1]
-    with pytest.raises(RootMismatchError):
-        predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(2, 1))
-
-
 def test_predict_ignores_self_arcs(tworoot_kb):
     sub = subs_by_root(tworoot_kb)[1]
-    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, RootLiteral(1, 1))
+    rows = predict(sub, simplify(sub, snapshot(14, T1)).states, tworoot_kb, 1)
     # X4's only mass comes through X5 (0.7·0.1); the X4←X4 loop adds nothing
     assert dict(((v, s), p) for v, s, p in rows)[(4, 1)] == pytest.approx(0.07)
 
@@ -965,7 +958,7 @@ def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):
         return completed(arc, state, j)
 
     monkeypatch.setattr(ducg.engine, "completed_intensity", counted)
-    rows = predict(sub, {}, kb, RootLiteral(sub.root, 1))
+    rows = predict(sub, {}, kb, 1)
     cells = sum(
         len(kb.variables[a.child].abnormal_state_ids)
         * len(kb.variables[a.parent].abnormal_state_ids)
@@ -1032,7 +1025,7 @@ def test_memoised_predict_equals_path_enumeration_on_cycles(with_default_cause):
                 for s in kb.variables[sub.root].abnormal_state_ids:
                     hyp = RootLiteral(sub.root, s)
                     want = _predict_by_paths(sub, states, kb, hyp, keys)
-                    assert predict(sub, states, kb, hyp) == want, f"seed {seed} root {sub.root}"
+                    assert predict(sub, states, kb, s) == want, f"seed {seed} root {sub.root}"
     assert sum(1 for _, part in keys if part) >= 1000
 
 
@@ -1070,7 +1063,7 @@ def test_predict_on_a_long_chain_is_not_bounded_by_the_recursion_limit(ascending
     kb = _chain_kb(ids)
     (sub,) = decompose(kb)
     states = {v: 1 for v in ids[1 : CHAIN // 2 + 1]} if observed else {}
-    rows = predict(sub, states, kb, RootLiteral(ids[0], 1))
+    rows = predict(sub, states, kb, 1)
     want = {v: 0.9**d for d, v in enumerate(ids) if d and v not in states}
     assert len(rows) == len(want) == (CHAIN - len(states))
     for v, s, p in rows:
@@ -1087,7 +1080,7 @@ def test_predict_on_a_chain_with_a_shortcut_ignores_the_id_order():
         kb = _chain_kb(ids, [(ids[c], ids[p]) for c, p in shortcut])
         (sub,) = decompose(kb)
         distance = {v: d for d, v in enumerate(ids)}
-        rows = predict(sub, {}, kb, RootLiteral(ids[0], 1))
+        rows = predict(sub, {}, kb, 1)
         forecasts.append({(distance[v], s): p for v, s, p in rows})
     assert forecasts[0] == forecasts[1]
     assert len(forecasts[0]) == CHAIN
@@ -1101,7 +1094,7 @@ def test_predict_on_a_long_cycle_raises_cycle_limit():
     kb = _chain_kb(ids, [(2, CHAIN + 1)])
     (sub,) = decompose(kb)
     with pytest.raises(CycleLimitError):
-        predict(sub, {}, kb, RootLiteral(1, 1))
+        predict(sub, {}, kb, 1)
 
 
 # --- helpers ------------------------------------------------------------------------

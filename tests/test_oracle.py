@@ -113,7 +113,7 @@ def test_predict_matches_oracle_forward_marginals(with_default_cause):
             root = kb.variables[sub.root]
             for s in root.abnormal_state_ids:
                 # no evidence yet, so predict scores every observable
-                rows = predict(sub, {}, kb, RootLiteral(sub.root, s))
+                rows = predict(sub, {}, kb, s)
                 got = {(v, k): p for v, k, p in rows}
                 for v in sorted(sub.variables):
                     if kb.variables[v].kind != "X":

@@ -331,6 +331,20 @@ def test_iter_reading_groups_raises_without_on_error(lines, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("first", ["1,MP05,3.2", "tick,measure_point,value", "# a comment", ""])
+def test_iter_reading_groups_drops_a_byte_order_mark_on_the_first_line_only(first):
+    """A UTF-8 byte-order mark opening a feed is not part of its first
+    line, whatever that line holds; later in the feed it is a stray
+    character, and its line is malformed."""
+    feed = [first, "1,MP05,3.2", "1,MP06,4.0", "\ufeff2,MP05,0.1", "2,MP06,0.1"]
+    errors = []
+    marked = collect(["\ufeff" + first, *feed[1:]], errors)
+    assert marked == collect(feed)
+    assert marked == [(1, [("MP05", 3.2)] * (first[:1] == "1") + [("MP05", 3.2), ("MP06", 4.0)]),
+                      (2, [("MP06", 0.1)])]
+    assert [(n, str(e)) for n, e in errors] == [(4, "tick '\\ufeff2' is not an integer (column 1)")]
+
+
 # --- the gateway against its frozen copy -------------------------------------------
 
 # Padding that ``strip``, ``int`` and ``float`` all take for whitespace.
