@@ -8,6 +8,7 @@ predict target is outside the surviving hypothesis space).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import OrderedDict, deque
@@ -19,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping
 from . import __version__
 from .dot import export_dot
 from .engine import _MEMO_SIZE, CubicGraph, DiagnosisReport, DiagnosisSession, predict
-from .errors import DucgError
+from .errors import DucgError, KBSyntaxError
 from .kb import KnowledgeBase, compile_kb, decompose, parse_kb, serialize_kb, validate_kb
 from .signals import EvidenceSnapshot, ingest_tick, iter_reading_groups
 
@@ -32,7 +33,12 @@ _DOT_LAYERS = 16
 
 
 def _load_kb(path: str) -> KnowledgeBase:
-    return parse_kb(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KBSyntaxError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    return parse_kb(text)
 
 
 # --- report rendering ---------------------------------------------------------
@@ -255,10 +261,16 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _open_feed(args: argparse.Namespace) -> tuple[KnowledgeBase, Iterable[str]]:
     kb = _load_kb(args.kb)
+    # A byte that is not UTF-8 stays in its field as a lone surrogate, so
+    # the gateway warns about that field, whether the feed is a file or stdin.
     if getattr(args, "signals", None) is not None:
-        lines = Path(args.signals).read_text(encoding="utf-8").splitlines()
+        lines = Path(args.signals).read_text(
+            encoding="utf-8", errors="surrogateescape"
+        ).splitlines()
     else:
         lines = sys.stdin
+        if isinstance(lines, io.TextIOWrapper):  # its handler follows the locale
+            lines.reconfigure(errors="surrogateescape")
     return kb, lines
 
 

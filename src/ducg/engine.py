@@ -24,12 +24,22 @@ then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session keeps two maps over its alive roots, each root's subgraph and
-its latest layer; one memo, keyed on the snapshot's assignments, of its
-``_MEMO_SIZE`` most recently used evidence patterns; and one store of the
-family tables (``factored_joints``) of its last ranked miss tick. A memo
-entry holds the ranking's tuples (hypotheses, status and evidence) and, for
-each ranked root, the slice ``simplify`` built. Equal keys are the same
+A session keeps three maps over its alive roots: each root's subgraph, its
+latest layer, and its *frame*; one memo, keyed on the snapshot's
+assignments, of its ``_MEMO_SIZE`` most recently used evidence patterns;
+and one store of the family tables (``factored_joints``) of its last ranked
+miss tick. A root's frame is the half of its slice that no evidence state
+changes: the candidate arcs (the subgraph's arcs less self-arcs and arcs
+whose condition is false), their child→parents map and the root's reach
+over them. It depends on the evidence only through its *key*, the
+positions among the subgraph's conditional arcs (self-arcs aside) of those
+whose condition evaluates False; a subgraph with no conditional arc has the
+key ``()``. A miss tick hands each alive root's frame to ``simplify`` when
+its key still holds and builds it afresh otherwise, so after a root's first
+tick only the walk to the evidence is redone. Frames are kept for the roots
+a miss tick ranks, and dropped with a root that leaves. A memo entry holds
+the ranking's tuples (hypotheses, status and evidence) and, for each ranked
+root, the slice ``simplify`` built. Equal keys are the same
 evidence, so a stored slice is the one ``simplify`` would build again, and a
 chattering channel is sliced and evaluated once per pattern. When a pattern
 comes back and every root it ranked is still alive, the tick is a lookup:
@@ -38,16 +48,18 @@ stored slice as it is, the report reuses the stored tuples, so equal
 rankings are identical objects, and the store is neither read nor changed.
 Any other tick is ranked afresh over the alive roots; its eliminations take
 each family table this tick or the last ranked miss tick built, and build
-the rest. Its ranking replaces the memo entry, and the tables it built or
-took replace the store, so the store holds two ticks' tables at most. A tick
-changes no state until it is ranked.
+the rest. Its ranking replaces the memo entry, the tables it built or took
+replace the store, so the store holds two ticks' tables at most, and the
+frames of the roots it ranked replace the kept frames. A tick changes no
+state until it is ranked.
 
 The values a stream hands out are never changed after they are built: the
 snapshot, slice, layer, hypothesis and report types are slotted dataclasses,
 not frozen ones (a frozen ``__init__`` pays for every field it sets), so this
 is a convention that nothing enforces. It matters because they are shared: an
 unchanged tick's snapshot holds the previous one's assignments, and a memo
-hit hands out stored slices and tuples again.
+hit hands out stored slices and tuples again. A kept frame is not handed
+out, but later ticks read it, so it too is never changed.
 
 Slices and ranking follow these rules; each convention is written once:
 
@@ -137,26 +149,70 @@ class CubicGraph:
         return (self.latest,)
 
 
-def _candidate_arcs(sub: SubDUCG, assignments: Mapping[int, int]) -> list[CausalArc]:
-    """Drop self-arcs and arcs whose enabling condition is determined false."""
-    kept = []
+@dataclass(slots=True)
+class SliceFrame:
+    """A root's frame: the half of its slice that no evidence state changes,
+    for one ``key`` (the rule is in the module docstring)."""
+
+    conditional: tuple[CausalArc, ...]  # the subgraph's conditional arcs, self-arcs aside
+    key: tuple[int, ...]
+    arcs: tuple[CausalArc, ...]  # the candidate arcs, in subgraph order
+    parents: dict[int, list[int]]  # child -> parents over ``arcs``
+    from_root: set[int]  # the root's reach over ``arcs``
+
+    def fits(self, assignments: Mapping[int, int]) -> bool:
+        """True iff the frame's key holds under ``assignments``."""
+        return not self.conditional or self.key == _false_conditions(
+            self.conditional, assignments
+        )
+
+
+def _false_conditions(
+    conditional: tuple[CausalArc, ...], assignments: Mapping[int, int]
+) -> tuple[int, ...]:
+    return tuple([
+        i for i, arc in enumerate(conditional) if arc.condition.evaluate(assignments) is False
+    ])
+
+
+def slice_frame(sub: SubDUCG, assignments: Mapping[int, int]) -> SliceFrame:
+    """``sub``'s frame under ``assignments``."""
+    conditional: list[CausalArc] = []
+    key: list[int] = []
+    children: dict[int, list[int]] = {}
+    parents: dict[int, list[int]] = {}
+    dropped = False
     for arc in sub.arcs:
         if arc.child == arc.parent:
+            dropped = True
             continue
-        if arc.condition is not None and arc.condition.evaluate(assignments) is False:
-            continue
-        kept.append(arc)
-    return kept
+        if arc.condition is not None:
+            conditional.append(arc)
+            if arc.condition.evaluate(assignments) is False:
+                key.append(len(conditional) - 1)
+                dropped = True
+                continue
+        children.setdefault(arc.parent, []).append(arc.child)
+        parents.setdefault(arc.child, []).append(arc.parent)
+    arcs = sub.arcs
+    if dropped:  # most subgraphs have no self-arc and no false condition
+        false = {id(conditional[i]) for i in key}
+        arcs = tuple([a for a in arcs if a.child != a.parent and id(a) not in false])
+    return SliceFrame(
+        tuple(conditional), tuple(key), arcs, parents, reach((sub.root,), children)
+    )
 
 
 def _unexplained(ev: EvidenceSnapshot, reached: Collection[int]) -> tuple[int, ...]:
     """The slice-validity rule: the abnormal observations of ``ev`` not
     ``reached`` from the root, in id order. Every variable reached lies in
     the root's subgraph, so one outside it is unexplained too."""
-    return tuple(sorted(v for v in ev.abnormal_set if v not in reached))
+    return tuple(sorted([v for v in ev.abnormal_set if v not in reached]))
 
 
-def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
+def simplify(
+    sub: SubDUCG, ev: EvidenceSnapshot, *, frame: Optional[SliceFrame] = None
+) -> SliceGraph:
     """Build the root's slice for ``ev``: keep only causally relevant arcs.
 
     An arc survives when the root reaches its parent and its child reaches
@@ -164,34 +220,29 @@ def simplify(sub: SubDUCG, ev: EvidenceSnapshot) -> SliceGraph:
     path. The slice is marked invalid when some abnormal observation is
     outside the subgraph or unreachable from the root (over the candidates:
     every arc of a root path to an observation in scope is retained).
+
+    ``frame``, when given, is ``sub``'s frame and must fit ``ev`` (see
+    ``SliceFrame.fits``); without it the frame is built from ``ev``.
     """
     if not ev.abnormal_set:
         raise NoAbnormalEvidenceError(
             f"tick {ev.tick}: evidence contains no abnormal assignment"
         )
+    if frame is None:
+        frame = slice_frame(sub, ev.assignments)
     evidenced = {
         v: s for v, s in ev.assignments.items() if v in sub.variables
     }
-    candidates = _candidate_arcs(sub, ev.assignments)
-    children: dict[int, list[int]] = {}
-    parents: dict[int, list[int]] = {}
-    for arc in candidates:
-        children.setdefault(arc.parent, []).append(arc.child)
-        parents.setdefault(arc.child, []).append(arc.parent)
-    from_root = reach((sub.root,), children)
-    to_evidence = reach(evidenced, parents)
-    retained = tuple(
-        a for a in candidates if a.parent in from_root and a.child in to_evidence
-    )
-    variables = {sub.root} | set(evidenced)
-    for arc in retained:
-        variables.add(arc.parent)
-        variables.add(arc.child)
-
+    to_evidence = reach(evidenced, frame.parents)
+    from_root = frame.from_root
+    # Besides the root and the evidence, the slice holds every variable on a
+    # root→evidence path, which is each variable both walks reach.
     return SliceGraph(
         root=sub.root,
-        variables=frozenset(variables),
-        arcs=retained,
+        variables=frozenset(from_root & to_evidence | evidenced.keys() | {sub.root}),
+        arcs=tuple([
+            a for a in frame.arcs if a.parent in from_root and a.child in to_evidence
+        ]),
         states=dict(sorted(evidenced.items())),
         unexplained=_unexplained(ev, from_root),
     )
@@ -600,10 +651,11 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good. ``cubic(root)`` is the root's latest layer, the only one held,
-    the memo holds at most ``_MEMO_SIZE`` evidence patterns, and the store
-    the family tables of one tick, so memory stays flat however long the
-    session runs.
+    good. Per alive root a session holds its subgraph, its latest layer
+    (``cubic(root)``, the only one held) and its frame; the memo holds at
+    most ``_MEMO_SIZE`` evidence patterns, and the store the family tables
+    of one tick, so memory stays flat however long the session runs. When a
+    kept frame serves a tick is the frame key rule of the module docstring.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -615,6 +667,8 @@ class DiagnosisSession:
         self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
         # each alive root's latest layer, once a tick is ranked
         self._layers: dict[int, CubicGraph] = {}
+        # each root the last ranked miss tick ranked -> its frame on that tick
+        self._frames: dict[int, SliceFrame] = {}
         # evidence key -> ({ranked root: slice}, hypotheses, status, abnormal,
         # normal), least recently used first
         self._memo: OrderedDict = OrderedDict()
@@ -643,12 +697,16 @@ class DiagnosisSession:
         if entry is not None and len(entry[0]) == len(self._subs):
             self._memo.move_to_end(key)  # most recently used last
         else:
-            slices, evaluated = {}, []  # no state changes until ranked
+            slices, frames, evaluated = {}, {}, []  # no state changes until ranked
             tables = ({}, self._tables)
             for root, sub in self._subs.items():
-                s = simplify(sub, ev)
+                frame = self._frames.get(root)
+                if frame is None or not frame.fits(ev.assignments):
+                    frame = slice_frame(sub, ev.assignments)
+                s = simplify(sub, ev, frame=frame)
                 if s.valid and check_valid(s, ev):
                     slices[root] = s
+                    frames[root] = frame
                     evaluated.append((root, *evaluate(s, self.kb, tables=tables)))
             hypotheses = tuple(rank_hypotheses(evaluated))
             ranked_roots = {h.root for h in hypotheses}
@@ -670,6 +728,7 @@ class DiagnosisSession:
             if len(self._memo) > _MEMO_SIZE:
                 self._memo.popitem(last=False)
             self._tables = tables[0]
+            self._frames = {root: frames[root] for root in entry[0]}
         ranked, hypotheses, status, abnormal, normal = entry
         if len(ranked) != len(self._subs):  # a root left
             self._subs = {root: self._subs[root] for root in ranked}

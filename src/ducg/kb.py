@@ -356,10 +356,11 @@ def parse_kb(text: str) -> KnowledgeBase:
     recursion limit lets it read; :class:`DuplicateVariableError` /
     :class:`UnknownReferenceError` for id-level problems. Rule-level checks
     (probability sums, intervals, kind restrictions) are the job of
-    :func:`validate_kb`.
+    :func:`validate_kb`. One leading byte-order mark is dropped, as RFC 8259
+    allows; any other is refused.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text[1:] if text.startswith("\ufeff") else text)
     except json.JSONDecodeError as exc:
         raise KBSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -39,22 +39,26 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv, stdin_text=None, cwd=None):
+def run_cli(*argv, stdin_text=None, stdin_bytes=None, cwd=None, env=None):
     """Run ``python -m ducg`` in a child process that imports this checkout's
-    ``src/`` first, whether or not the package is installed."""
-    env = dict(os.environ)
+    ``src/`` first, whether or not the package is installed. ``stdin_bytes``
+    goes to stdin as it is; ``env`` adds to the environment."""
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "ducg", *argv],
-        input=stdin_text,
+        input=stdin_text if stdin_bytes is None else stdin_bytes,
         capture_output=True,
-        text=True,
+        text=stdin_bytes is None,
         cwd=cwd,
         env=env,
         timeout=120,
     )
+    if stdin_bytes is not None:
+        proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+    return proc
 
 
 def _same_mechanism(a, b):

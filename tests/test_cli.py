@@ -12,7 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducg import DiagnosisSession, decompose, ingest_tick, iter_reading_groups, parse_kb, predict
+from ducg import (
+    DiagnosisSession,
+    KBSyntaxError,
+    decompose,
+    ingest_tick,
+    iter_reading_groups,
+    parse_kb,
+    predict,
+    serialize_kb,
+)
 from ducg.cli import _JSON_SEPARATORS, _report_json, _report_line, build_parser, main
 from ducg.engine import _MEMO_SIZE, DiagnosisReport, HypothesisResult
 
@@ -437,6 +446,128 @@ def test_a_byte_order_mark_before_the_first_reading_keeps_it(tmp_path):
     replayed = run_cli("replay", "--kb", kb, "--signals", str(marked), "--no-timing")
     for got in (streamed, replayed):
         assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+
+
+# --- a knowledge base that opens with a byte-order mark, or is not UTF-8 -------------
+
+KBS = sorted({kb for kb, _ in FEED_PAIRS})
+
+
+def every_command(kb, tmp_path, capsys, monkeypatch):
+    """Exit code, stdout and stderr of ``validate``, ``compile`` (with the
+    bytes it writes) and, on each fixture feed written for ``kb``'s
+    content, ``replay``, ``stream`` and ``predict``."""
+    out = tmp_path / "compiled.json"
+    out.unlink(missing_ok=True)
+    runs = [
+        run_main(["validate", str(kb)], capsys, monkeypatch),
+        run_main(["compile", str(kb), "-o", str(out)], capsys, monkeypatch),
+        out.read_bytes() if out.exists() else None,
+    ]
+    for signals in sorted({feed for name, feed in FEED_PAIRS if name == kb.name}):
+        feed = str(DATA / signals)
+        runs += [
+            run_main(["replay", "--kb", str(kb), "--signals", feed, "--no-timing"], capsys, monkeypatch),
+            run_main(["stream", "--kb", str(kb), "--no-timing"], capsys, monkeypatch,
+                     (DATA / signals).read_text(encoding="utf-8")),
+            run_main(["predict", "--kb", str(kb), "--signals", feed, "--root", "2", "--state", "1"],
+                     capsys, monkeypatch),
+        ]
+    return runs
+
+
+@pytest.mark.parametrize("name", KBS)
+def test_a_kb_opening_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, monkeypatch, name):
+    """Editors that save "UTF-8 with BOM" put a byte-order mark first: every
+    command reads such a copy of each fixture KB exactly as the KB, and so
+    does ``parse_kb``."""
+    plain = DATA / name
+    (tmp_path / "marked").mkdir()
+    marked = tmp_path / "marked" / name
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    want = every_command(plain, tmp_path, capsys, monkeypatch)
+    assert want[0][0] in (0, 1) and want[2] is not None and len(want) >= 6
+    assert every_command(marked, tmp_path, capsys, monkeypatch) == want
+    text = plain.read_text(encoding="utf-8")
+    assert serialize_kb(parse_kb("\ufeff" + text)) == serialize_kb(parse_kb(text))
+
+
+@pytest.mark.parametrize("where", ["twice", "after a space", "inside"])
+def test_a_byte_order_mark_anywhere_else_in_a_kb_is_refused(tmp_path, where):
+    text = (DATA / "tworoot_kb.json").read_text(encoding="utf-8")
+    text, error = {
+        "twice": ("\ufeff\ufeff" + text, "line 1, column 1: Unexpected UTF-8 BOM"),
+        "after a space": (" \ufeff" + text, "line 1, column 2: Expecting value"),
+        "inside": (text.replace('"version": 1', '"version": \ufeff1', 1), "line 2, column 14: Expecting value"),
+    }[where]
+    assert text.count("\ufeff") == 1 + (where == "twice")
+    kb = tmp_path / "kb.json"
+    kb.write_text(text, encoding="utf-8")
+    proc = run_cli("validate", str(kb))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: invalid JSON at {error}")
+    with pytest.raises(KBSyntaxError):
+        parse_kb(text)
+
+
+NOT_UTF8 = {
+    "UTF-16 mark": (b"\xff\xfe{}", "error: invalid UTF-8 at byte 0: invalid start byte\n"),
+    "Latin-1 label": (
+        (DATA / "tworoot_kb.json").read_bytes().replace(b"fault", b"fa\xefult", 1),
+        "error: invalid UTF-8 at byte {}: invalid continuation byte\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+@pytest.mark.parametrize("command", ["validate", "compile", "replay", "stream", "predict"])
+def test_a_kb_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, monkeypatch, command, case):
+    """Every command names the first byte that is not UTF-8 and exits 1."""
+    data, error = NOT_UTF8[case]
+    kb = tmp_path / "kb.json"
+    kb.write_bytes(data)
+    signals = str(DATA / "tworoot_signals.csv")
+    argv = {
+        "validate": ["validate", str(kb)],
+        "compile": ["compile", str(kb), "-o", str(tmp_path / "out.json")],
+        "replay": ["replay", "--kb", str(kb), "--signals", signals],
+        "stream": ["stream", "--kb", str(kb)],
+        "predict": ["predict", "--kb", str(kb), "--signals", signals, "--root", "1", "--state", "1"],
+    }[command]
+    assert run_main(argv, capsys, monkeypatch) == (1, "", error.format(data.find(b"\xef")))
+
+
+def test_a_kb_that_is_not_utf8_exits_one_without_a_traceback(tmp_path):
+    kb = tmp_path / "kb.json"
+    kb.write_bytes(NOT_UTF8["UTF-16 mark"][0])
+    for argv in (["validate", str(kb)], ["stream", "--kb", str(kb)]):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", NOT_UTF8["UTF-16 mark"][1])
+
+
+# --- a feed that is not UTF-8 --------------------------------------------------------
+
+
+def test_a_feed_byte_that_is_not_utf8_is_a_warning_in_every_feed_command(tmp_path):
+    """``replay`` and ``predict`` read a ``--signals`` file as ``stream``
+    reads stdin, whatever the locale's error handler for stdin: a byte that
+    is not UTF-8 makes its field unreadable, which is a warning."""
+    feed = b"1,MP05,3.2\n2,MP\xff06,4.0\n3,MP06,4.0\n"
+    signals = tmp_path / "feed.csv"
+    signals.write_bytes(feed)
+    kb = str(DATA / "tworoot_kb.json")
+    warning = "warning: tick 2: unknown measure point 'MP\\udcff06'\n"
+    streamed = [
+        run_cli("stream", "--kb", kb, "--no-timing", stdin_bytes=feed, env={"PYTHONIOENCODING": handler})
+        for handler in ("utf-8:strict", "utf-8:surrogateescape")
+    ]
+    replayed = run_cli("replay", "--kb", kb, "--signals", str(signals), "--no-timing")
+    assert (replayed.returncode, replayed.stderr) == (0, warning)
+    assert len(json_lines(replayed.stdout)) == 2
+    for got in streamed:
+        assert (got.returncode, got.stdout, got.stderr) == (0, replayed.stdout, warning)
+    predicted = run_cli("predict", "--kb", kb, "--signals", str(signals), "--root", "1", "--state", "1")
+    assert (predicted.returncode, predicted.stderr) == (0, warning)
 
 
 # --- predict ----------------------------------------------------------------------

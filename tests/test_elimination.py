@@ -134,9 +134,9 @@ def test_the_store_holds_the_last_ranked_miss_ticks_tables_unwritten(monkeypatch
     real_simplify, real_joints = ducg.engine.simplify, factored_joints
     sliced, eliminated = [], []  # this tick's calls
 
-    def slicing(sub, ev):
+    def slicing(sub, ev, **keywords):
         sliced.append(sub.root)
-        return real_simplify(sub, ev)
+        return real_simplify(sub, ev, **keywords)
 
     def eliminating(s, kb, *, tables=None):
         eliminated.append(s)

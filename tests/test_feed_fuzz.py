@@ -1,11 +1,13 @@
 """Seeded mutations of the fixture signal feeds never end in a traceback:
 ``cli._run_feed`` warns about what it cannot read and goes on, exits 0 or 2,
 and writes only JSON lines. Each mutated feed also reads, byte for byte,
-as the frozen copy of the gateway in ``gateway_reference`` reads it."""
+as the frozen copy of the gateway in ``gateway_reference`` reads it. Bytes
+that are not UTF-8 in a field are warnings too, in every feed command."""
 
 import io
 import json
 import random
+import sys
 import traceback
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 import ducg.cli
 from ducg import DiagnosisSession, parse_kb
-from ducg.cli import _run_feed
+from ducg.cli import _run_feed, main
 
 import gateway_reference
 
@@ -138,3 +140,62 @@ def test_mutated_feeds_read_as_the_frozen_gateway_reads_them(feeds, monkeypatch)
             assert got == replay(kb, lines, flags), seed
         warned += "warning" in got[2]
     assert warned > MUTATIONS // 2  # most feeds reach the error paths
+
+
+# Byte sequences that are not UTF-8: lone continuation and lead bytes, cut-off
+# sequences, an encoded surrogate, a code point past U+10FFFF, an overlong form.
+NOT_UTF8 = (
+    b"\x80", b"\xbf", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+    b"\xc0\xaf", b"\xfe", b"\xff",
+)
+BYTE_MUTATIONS = 150
+
+
+def with_bytes_that_are_not_utf8(data, rng):
+    """``data`` with one of ``NOT_UTF8`` put into one field of one to three
+    readings, and the index of each field so changed."""
+    lines = data.splitlines()
+    fields_hit = []
+    readings = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    for i in rng.sample(readings, rng.choice((1, 2, 3))):
+        fields = lines[i].split(b",")
+        f = rng.randrange(len(fields))
+        at = rng.randint(0, len(fields[f]))
+        fields[f] = fields[f][:at] + rng.choice(NOT_UTF8) + fields[f][at:]
+        lines[i] = b",".join(fields)
+        fields_hit.append(f)
+    return b"\n".join(lines) + b"\n", fields_hit
+
+
+def test_bytes_that_are_not_utf8_in_a_field_are_warnings(tmp_path, capsys, monkeypatch):
+    """``replay`` and ``predict`` on the mutated file and ``stream`` on the
+    same bytes as stdin each warn and go on. ``stream`` writes what
+    ``replay`` writes whether stdin's error handler is strict, as under most
+    UTF-8 locales, or ``surrogateescape``, as under the C locale."""
+    hit = [0, 0, 0]
+    for seed in range(BYTE_MUTATIONS):
+        rng = random.Random(seed)
+        kb_name, signals = rng.choice(FEEDS)
+        data, fields = with_bytes_that_are_not_utf8((DATA / signals).read_bytes(), rng)
+        for f in fields:
+            hit[f] += 1
+        feed = tmp_path / "feed.csv"
+        feed.write_bytes(data)
+        kb = str(DATA / kb_name)
+        runs = []
+        for argv, stdin, errors in (
+            (["replay", "--kb", kb, "--signals", str(feed), "--no-timing"], b"", "strict"),
+            (["stream", "--kb", kb, "--no-timing"], data, "strict"),
+            (["stream", "--kb", kb, "--no-timing"], data, "surrogateescape"),
+            (["predict", "--kb", kb, "--signals", str(feed), "--root", "1", "--state", "1"], b"", "strict"),
+        ):
+            wrapper = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors=errors)
+            monkeypatch.setattr(sys, "stdin", wrapper)
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        for code, out, err in runs:
+            assert code in (0, 2) and "warning: " in err, (seed, code, err)
+            for line in out.splitlines():
+                json.loads(line, parse_constant=_strict)
+        assert runs[0] == runs[1] == runs[2], seed
+    assert min(hit) >= 40, hit  # tick, measure point and value

@@ -4,7 +4,8 @@ nowhere: ``parse_kb`` and ``DiagnosisSession`` raise nothing but a
 ``ducg compile`` let nothing escape ``cli.main``, which turns a ``DucgError``
 into exit code 1. Each mutation's fused arcs, or its arc conflict, are those
 of the pairwise reference rule. A field swapped for a list or an object
-nested up to 100,000 deep ends the same way."""
+nested up to 100,000 deep ends the same way, and so does a field holding
+bytes that are not UTF-8, in every command."""
 
 import contextlib
 import io
@@ -185,3 +186,51 @@ def test_deeply_nested_fields_raise_only_coded_errors(tmp_path):
             escapes.setdefault(where, []).append(seed)
     assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}
     assert deep >= 40 and shallow >= 200, (deep, shallow)
+
+
+# Byte sequences that are not UTF-8: lone continuation and lead bytes, cut-off
+# sequences, an encoded surrogate, a code point past U+10FFFF, an overlong form.
+NOT_UTF8 = (
+    b"\x80", b"\xbf", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+    b"\xc0\xaf", b"\xfe", b"\xff",
+)
+BYTE_MUTATIONS = 200
+
+
+def test_bytes_that_are_not_utf8_in_a_field_are_a_syntax_error(tmp_path):
+    """A field whose string or number holds bytes that are not UTF-8: each
+    command exits 1 with one ``error:`` line that names the first such
+    byte, and nothing escapes ``cli.main``."""
+    docs = [json.loads((DATA / name).read_text(encoding="utf-8")) for name in KBS]
+    kb, out = tmp_path / "kb.json", tmp_path / "compiled.json"
+    signals = str(DATA / "tworoot_signals.csv")
+    commands = (
+        ["validate", str(kb)],
+        ["compile", str(kb), "-o", str(out)],
+        ["replay", "--kb", str(kb), "--signals", signals],
+        ["stream", "--kb", str(kb)],
+        ["predict", "--kb", str(kb), "--signals", signals, "--root", "1", "--state", "1"],
+    )
+    escapes = {}
+    for seed in range(BYTE_MUTATIONS):
+        rng = random.Random(seed)
+        doc = json.loads(json.dumps(rng.choice(docs)))
+        owner, last = _pick(doc, rng)
+        owner[last] = json.loads(_PLACEHOLDER)
+        bad = rng.choice(NOT_UTF8)
+        field = rng.choice((b'"x' + bad + b'"', b"1" + bad, bad))
+        data = json.dumps(doc).encode().replace(_PLACEHOLDER.encode(), field, 1)
+        kb.write_bytes(data)
+        for argv in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                assert code == 1 and stdout.getvalue() == "", (code, stdout.getvalue())
+                assert stderr.getvalue().startswith(f"error: invalid UTF-8 at byte {data.index(bad)}: ")
+                assert stderr.getvalue().count("\n") == 1
+            except Exception as exc:  # a traceback or another message
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
+                escapes.setdefault(where, []).append((seed, argv[0]))
+    assert not escapes, {where: seeds[:5] for where, seeds in escapes.items()}

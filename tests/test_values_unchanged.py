@@ -6,7 +6,9 @@ dataclasses, so nothing guards their fields, and they are shared across
 ticks: an unchanged tick's snapshot holds the previous snapshot's
 assignments, and a memo hit hands out stored slices and tuples again. So the
 ``repr`` of each snapshot, report and layer, taken when it is returned, must
-still read the same once the whole stream has run.
+still read the same once the whole stream has run. A session's frames are
+not handed out, but a kept frame serves later ticks, so its ``repr`` after
+each tick must read the same at the end too.
 
 The KB's records are slotted or plain dataclasses too, and just as shared:
 variables and subgraphs that repeat a state or arc document hold one object,
@@ -45,13 +47,14 @@ def drive(kb, batches):
     Return each value handed out, and each record of ``kb`` and of the
     session's subgraphs, with its ``repr`` at that moment; and how many
     snapshots held the previous snapshot's assignments and how many layers
-    held a slice handed out before. The KB's records are taken before the
-    session is built, so a change made while building it shows too."""
+    held a slice handed out before, and how many kept frames were kept
+    before. The KB's records are taken before the session is built, so a
+    change made while building it shows too."""
     handed = records(kb)
     session = DiagnosisSession(kb)
     handed += records(kb, session._subs.values())
-    slices = set()
-    shared_assignments = shared_slices = 0
+    slices, frames = set(), set()
+    shared_assignments = shared_slices = shared_frames = 0
     prev = None
     for tick, readings in batches:
         before = prev
@@ -66,7 +69,11 @@ def drive(kb, batches):
                 handed.append((layer, repr(layer)))
                 shared_slices += id(layer.latest) in slices
                 slices.add(id(layer.latest))
-    return handed, shared_assignments, shared_slices
+            for frame in session._frames.values():
+                handed.append((frame, repr(frame)))
+                shared_frames += id(frame) in frames
+                frames.add(id(frame))
+    return handed, shared_assignments, shared_slices, shared_frames
 
 
 def gauged(kb):
@@ -109,15 +116,14 @@ def test_no_value_handed_out_changes():
         kb = gauged(random_kb(rng, with_default_cause=seed % 2 == 1))
         streams.append((kb, chattering_batches(rng, kb)))
 
-    handed, shared_assignments, shared_slices = [], 0, 0
+    handed, shared = [], [0, 0, 0]
     for kb, batches in streams:
-        values, assignments, slices = drive(kb, batches)
+        values, *counts = drive(kb, batches)
         handed += values
-        shared_assignments += assignments
-        shared_slices += slices
+        shared = [total + count for total, count in zip(shared, counts)]
     assert [repr(value) for value, _ in handed] == [taken for _, taken in handed]
     # the test means something only where values are shared
-    assert shared_assignments > 1_000 and shared_slices > 300, (shared_assignments, shared_slices)
+    assert shared[0] > 1_000 and shared[1] > 300 and shared[2] > 300, shared
 
 
 def test_no_record_of_the_plant_kb_changes(plant_doc):
@@ -127,5 +133,5 @@ def test_no_record_of_the_plant_kb_changes(plant_doc):
     kb = parse_kb(json.dumps(plant_doc))
     ((_, sharing),) = Counter(id(var.states) for var in kb.variables.values()).most_common(1)
     assert sharing >= 400, sharing
-    handed, _, _ = drive(kb, chattering_batches(random.Random(11), kb, ticks=12))
+    handed, *_ = drive(kb, chattering_batches(random.Random(11), kb, ticks=12))
     assert [repr(value) for value, _ in handed] == [taken for _, taken in handed]
