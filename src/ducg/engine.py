@@ -24,34 +24,34 @@ then ranked:
   larger acyclic slices, where the expression would grow exponentially with
   depth; it equals ``expand`` there up to float summation order.
 
-A session keeps three maps over its alive roots: each root's subgraph, its
-latest layer, and its *frame*; one memo, keyed on the snapshot's
-assignments, of its ``_MEMO_SIZE`` most recently used evidence patterns;
-and one store of the family tables (``factored_joints``) of its last ranked
-miss tick. A root's frame is the half of its slice that no evidence state
-changes: the candidate arcs (the subgraph's arcs less self-arcs and arcs
-whose condition is false), their child→parents map and the root's reach
-over them. It depends on the evidence only through its *key*, the
-positions among the subgraph's conditional arcs (self-arcs aside) of those
-whose condition evaluates False; a subgraph with no conditional arc has the
-key ``()``. A miss tick hands each alive root's frame to ``simplify`` when
-its key still holds and builds it afresh otherwise, so after a root's first
-tick only the walk to the evidence is redone. Frames are kept for the roots
-a miss tick ranks, and dropped with a root that leaves. A memo entry holds
-the ranking's tuples (hypotheses, status and evidence) and, for each ranked
-root, the slice ``simplify`` built. Equal keys are the same
-evidence, so a stored slice is the one ``simplify`` would build again, and a
-chattering channel is sliced and evaluated once per pattern. When a pattern
-comes back and every root it ranked is still alive, the tick is a lookup:
-nothing is sliced or evaluated, each ranked root takes a layer holding its
-stored slice as it is, the report reuses the stored tuples, so equal
-rankings are identical objects, and the store is neither read nor changed.
-Any other tick is ranked afresh over the alive roots; its eliminations take
-each family table this tick or the last ranked miss tick built, and build
-the rest. Its ranking replaces the memo entry, the tables it built or took
-replace the store, so the store holds two ticks' tables at most, and the
-frames of the roots it ranked replace the kept frames. A tick changes no
-state until it is ranked.
+A session keeps two maps over its alive roots: each root to its subgraph
+and its *frame* (None before its first ranked tick), and each root to its
+latest layer; one memo, keyed on the snapshot's assignments, of its
+``_MEMO_SIZE`` most recently used evidence patterns; and one store of the
+family tables (``factored_joints``) of its last ranked miss tick. A root's
+frame is the half of its slice that no evidence state changes: the
+candidate arcs (the subgraph's arcs less self-arcs and arcs whose condition
+is false), their child→parents map and the root's reach over them. It
+depends on the evidence only through its *key*, the positions among the
+subgraph's conditional arcs (self-arcs aside) of those whose condition
+evaluates False; a subgraph with no conditional arc has the key ``()``. A
+miss tick hands each alive root's frame to ``simplify`` when its key still
+holds and builds it afresh otherwise, so after a root's first tick only the
+walk to the evidence is redone. Only a miss tick can drop a root, so it
+alone rebuilds the first map, from the roots it ranks and the frames it
+used. A memo entry holds the ranking's tuples (hypotheses, status and
+evidence) and, for each ranked root, the slice ``simplify`` built. Equal
+keys are the same evidence, so a stored slice is the one ``simplify`` would
+build again, and a chattering channel is sliced and evaluated once per
+pattern. When a pattern comes back and every root it ranked is still alive,
+the tick is a lookup: nothing is sliced or evaluated, each ranked root
+takes a layer holding its stored slice as it is, the report reuses the
+stored tuples, so equal rankings are identical objects, and the store is
+neither read nor changed. Any other tick is ranked afresh over the alive
+roots; its eliminations take each family table this tick or the last ranked
+miss tick built, and build the rest. Its ranking replaces the memo entry,
+the tables it built or took replace the store, so the store holds two
+ticks' tables at most. A tick changes no state until it is ranked.
 
 The values a stream hands out are never changed after they are built: the
 snapshot, slice, layer, hypothesis and report types are slotted dataclasses,
@@ -65,7 +65,10 @@ Slices and ranking follow these rules; each convention is written once:
 
 * a slice keeps exactly the arcs lying on a causal path from the root to some
   evidenced variable (conditional arcs whose condition is false are deleted
-  first; self-arcs never lie on a simple path);
+  first; self-arcs never lie on a simple path); a forecast (``predict``) runs
+  over the same candidate arcs, its root's frame;
+* one parents-first pass (``_parents_first``) orders a graph or finds its
+  cycle, for the choice of evaluator and for ``predict``;
 * each child's cause routes share its causal mass as w/r, ``r`` summed over
   the child's retained arcs (``_families``), so a root's explanation never
   pays for causes that live outside its own graph;
@@ -80,7 +83,6 @@ import time
 from collections import OrderedDict
 from math import prod
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Optional
@@ -201,6 +203,27 @@ def slice_frame(sub: SubDUCG, assignments: Mapping[int, int]) -> SliceFrame:
     return SliceFrame(
         tuple(conditional), tuple(key), arcs, parents, reach((sub.root,), children)
     )
+
+
+def _parents_first(parents: Mapping[int, list[int]]) -> Optional[list[int]]:
+    """Every variable of the child→parents map ``parents`` (each list
+    non-empty, an arc's parent once per arc), each after all of its parents,
+    or None when the map has a cycle. One linear pass (Kahn, "Topological
+    sorting of large networks", CACM 1962): a variable is placed once its
+    last parent is."""
+    waiting = {child: len(ps) for child, ps in parents.items()}
+    children: dict[int, list[int]] = {}
+    for child, ps in parents.items():
+        for p in ps:
+            children.setdefault(p, []).append(child)
+    order = [v for v in children if v not in waiting]  # the variables without parents
+    size = len(order) + len(waiting)
+    for v in order:  # ``order`` grows while it is read
+        for child in children.get(v, ()):
+            waiting[child] -= 1
+            if not waiting[child]:
+                order.append(child)
+    return order if len(order) == size else None
 
 
 def _unexplained(ev: EvidenceSnapshot, reached: Collection[int]) -> tuple[int, ...]:
@@ -376,23 +399,11 @@ def _takes_factored_path(g: SliceGraph, kb: KnowledgeBase) -> bool:
     their meaning.
     """
     routes: dict[int, int] = {}
+    parents: dict[int, list[int]] = {}
     for arc in g.arcs:
         routes[arc.child] = routes.get(arc.child, 0) + len(kb.variables[arc.parent].states)
-    if prod(routes.values()) <= _EXPAND_MAX_ROUTES:
-        return False
-    pending: dict[int, set[int]] = {child: set() for child in routes}
-    for arc in g.arcs:
-        if arc.parent in pending:
-            pending[arc.child].add(arc.parent)
-    while pending:  # peel off children whose parents are all placed
-        ready = [child for child, parents in pending.items() if not parents]
-        if not ready:
-            return False
-        for child in ready:
-            del pending[child]
-        for parents in pending.values():
-            parents.difference_update(ready)
-    return True
+        parents.setdefault(arc.child, []).append(arc.parent)
+    return prod(routes.values()) > _EXPAND_MAX_ROUTES and _parents_first(parents) is not None
 
 
 def _positions(
@@ -651,11 +662,12 @@ class DiagnosisSession:
 
     The hypothesis space starts as every fault root and only ever shrinks: a
     root whose graph fails to explain a triggering snapshot is discarded for
-    good. Per alive root a session holds its subgraph, its latest layer
-    (``cubic(root)``, the only one held) and its frame; the memo holds at
-    most ``_MEMO_SIZE`` evidence patterns, and the store the family tables
-    of one tick, so memory stays flat however long the session runs. When a
-    kept frame serves a tick is the frame key rule of the module docstring.
+    good. A session holds two maps over the alive roots: each root to its
+    subgraph and its frame, and each root to its latest layer
+    (``cubic(root)``, the only one held); the memo holds at most
+    ``_MEMO_SIZE`` evidence patterns, and the store the family tables of one
+    tick, so memory stays flat however long the session runs. When a kept
+    frame serves a tick is the frame key rule of the module docstring.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -663,12 +675,14 @@ class DiagnosisSession:
         if violations:
             raise InvalidKnowledgeBaseError(violations)
         self.kb = kb
-        # the hypothesis space, in root id order: ``decompose`` follows ``kb.variables``
-        self._subs: dict[int, SubDUCG] = {s.root: s for s in decompose(kb)}
+        # the hypothesis space, in root id order (``decompose`` follows
+        # ``kb.variables``): each alive root -> (its subgraph, its frame on the
+        # last ranked miss tick, None before one)
+        self._roots: dict[int, tuple[SubDUCG, Optional[SliceFrame]]] = {
+            s.root: (s, None) for s in decompose(kb)
+        }
         # each alive root's latest layer, once a tick is ranked
         self._layers: dict[int, CubicGraph] = {}
-        # each root the last ranked miss tick ranked -> its frame on that tick
-        self._frames: dict[int, SliceFrame] = {}
         # evidence key -> ({ranked root: slice}, hypotheses, status, abnormal,
         # normal), least recently used first
         self._memo: OrderedDict = OrderedDict()
@@ -677,7 +691,7 @@ class DiagnosisSession:
 
     @property
     def alive_roots(self) -> tuple[int, ...]:
-        return tuple(self._subs)
+        return tuple(self._roots)
 
     def cubic(self, root: int) -> Optional[CubicGraph]:
         return self._layers.get(root)
@@ -694,19 +708,18 @@ class DiagnosisSession:
         # to ξ (its slice is invalid or ζ = 0: a normal root leaves every
         # observation normal, so ζ > 0 gives an abnormal joint > 0). If none
         # has left, the entry is this tick's ranking; else it is ranked afresh.
-        if entry is not None and len(entry[0]) == len(self._subs):
+        if entry is not None and len(entry[0]) == len(self._roots):
             self._memo.move_to_end(key)  # most recently used last
         else:
-            slices, frames, evaluated = {}, {}, []  # no state changes until ranked
+            slices, kept, evaluated = {}, {}, []  # no state changes until ranked
             tables = ({}, self._tables)
-            for root, sub in self._subs.items():
-                frame = self._frames.get(root)
+            for root, (sub, frame) in self._roots.items():
                 if frame is None or not frame.fits(ev.assignments):
                     frame = slice_frame(sub, ev.assignments)
                 s = simplify(sub, ev, frame=frame)
                 if s.valid and check_valid(s, ev):
                     slices[root] = s
-                    frames[root] = frame
+                    kept[root] = (sub, frame)
                     evaluated.append((root, *evaluate(s, self.kb, tables=tables)))
             hypotheses = tuple(rank_hypotheses(evaluated))
             ranked_roots = {h.root for h in hypotheses}
@@ -728,10 +741,9 @@ class DiagnosisSession:
             if len(self._memo) > _MEMO_SIZE:
                 self._memo.popitem(last=False)
             self._tables = tables[0]
-            self._frames = {root: frames[root] for root in entry[0]}
+            # a hit ranked exactly the alive roots, so only a miss drops one
+            self._roots = {root: kept[root] for root in entry[0]}
         ranked, hypotheses, status, abnormal, normal = entry
-        if len(ranked) != len(self._subs):  # a root left
-            self._subs = {root: self._subs[root] for root in ranked}
         self._layers = {root: merge_cubic(s, ev.tick) for root, s in ranked.items()}
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return DiagnosisReport(ev.tick, status, hypotheses, abnormal, normal, elapsed_ms)
@@ -745,24 +757,27 @@ def predict(
 ) -> list[tuple[int, int, float]]:
     """Forward-propagate the fault ``sub.root`` in state ``fault_state``
     (assumed certain) through the root's subgraph ``sub``, given the evidence
-    ``states`` (a snapshot's assignments, of which only ``sub``'s variables
-    are read, or nothing before the first trigger).
+    ``states`` (a snapshot's assignments, or nothing before the first
+    trigger).
 
     Returns ``(var, state, probability)`` for every abnormal state of every
     variable of ``sub``, its B and D variables aside, that is not abnormal
-    in ``states``, sorted by descending probability. Self-arcs are excluded, weight
-    denominators use only the subgraph's own arcs, and a default cause is
-    always present, mirroring the conventions of diagnosis. On a cycle whose
+    in ``states``, sorted by descending probability. The forecast runs over
+    the arcs of ``slice_frame(sub, states)``, the ones diagnosis slices
+    from: self-arcs and arcs whose condition ``states`` makes False are
+    left out. A condition may name a variable outside ``sub``, so pass the
+    whole snapshot's assignments, not a slice's ``states``. Weight
+    denominators use only those arcs, and a default cause is always
+    present, mirroring the conventions of diagnosis. On a cycle whose
     chains nest past the interpreter's recursion limit, raises
     :class:`CycleLimitError`.
     """
-    arcs = [a for a in sub.arcs if a.child != a.parent]
-    families = _families(arcs)
-    parents = {v: [arc.parent for arc, _, _ in family] for v, family in families.items()}
+    frame = slice_frame(sub, states)
+    families = _families(frame.arcs)
+    parents = frame.parents
+    order = _parents_first(parents)
     children: dict[int, list[int]] = {}  # left empty on a DAG, where no variable is on a cycle
-    try:
-        order = list(TopologicalSorter(parents).static_order())
-    except CycleError:
+    if order is None:
         order = []
         for v, ps in parents.items():
             for p in ps:

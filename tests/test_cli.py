@@ -38,6 +38,7 @@ FEED_PAIRS = [
     ("plant24_kb.json", "plant24_signals.csv"),
     ("tworoot_kb.json", "tworoot_chatter_signals.csv"),
     ("tworoot_modular_kb.json", "tworoot_chatter_signals.csv"),
+    ("conditional_kb.json", "conditional_signals.csv"),
 ]
 
 
@@ -375,6 +376,25 @@ def test_stream_matches_replay_byte_for_byte():
     assert streamed.returncode == replayed.returncode == 0
     assert streamed.stdout == replayed.stdout
     assert streamed.stderr == replayed.stderr == ""
+
+
+def test_a_conditional_arc_fixture_matches_its_goldens():
+    """The bypass valve X3 enables the arc X5<-X4 while it reads open. It
+    opens at tick 2 and closes at tick 4, where B1 can no longer explain X5
+    and leaves. ``replay`` and ``stream`` print the recorded reports, and
+    the forecast for B2 runs without the disabled arc, so X6 scores 0.3
+    (0.213 with it)."""
+    kb, signals = str(DATA / "conditional_kb.json"), DATA / "conditional_signals.csv"
+    want = (DATA / "conditional_replay.jsonl").read_text(encoding="utf-8")
+    replayed = run_cli("replay", "--kb", kb, "--signals", str(signals), "--no-timing")
+    streamed = run_cli("stream", "--kb", kb, "--no-timing", stdin_text=signals.read_text(encoding="utf-8"))
+    for got in (replayed, streamed):
+        assert (got.returncode, got.stdout, got.stderr) == (0, want, "")
+    assert [r["status"] for r in json_lines(want)] == ["ambiguous"] * 3 + ["diagnosed"]
+    predicted = run_cli("predict", "--kb", kb, "--signals", str(signals), "--root", "2", "--state", "1")
+    assert (predicted.returncode, predicted.stderr) == (0, "")
+    assert predicted.stdout == (DATA / "conditional_predict.json").read_text(encoding="utf-8")
+    assert json.loads(predicted.stdout)["predictions"][1] == {"var": 6, "state": 1, "probability": 0.3}
 
 
 @pytest.mark.parametrize("command", ["replay", "stream"])

@@ -6,6 +6,8 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 
 import pytest
 
@@ -35,7 +37,10 @@ from ducg import (
     conjoin,
     expand,
     factored_joints,
+    ingest_tick,
+    iter_reading_groups,
     merge_cubic,
+    parse_kb,
     predict,
     rank_hypotheses,
     simplify,
@@ -44,7 +49,7 @@ from ducg import (
 from ducg.engine import SliceFrame, slice_frame
 from ducg.kb import ROOT_KINDS
 
-from conftest import extend_layers, run_scenario
+from conftest import DATA, extend_layers, run_scenario
 from generators import deep_evidence, layered_kb, random_cyclic_kb, random_evidence, random_kb
 
 
@@ -632,7 +637,7 @@ def _fresh_reports(kb, snapshots):
     for ev in snapshots:
         fresh = DiagnosisSession(kb)
         if alive is not None:
-            fresh._subs = {r: sub for r, sub in fresh._subs.items() if r in alive}
+            fresh._roots = {r: kept for r, kept in fresh._roots.items() if r in alive}
         reports.append(fresh.diagnose_tick(ev))
         alive = fresh.alive_roots
     return _report_fields(reports)
@@ -649,6 +654,11 @@ def _counting(monkeypatch, name="evaluate"):
 
     monkeypatch.setattr(ducg.engine, name, counted)
     return calls
+
+
+def _framed(session):
+    """The alive roots that hold a kept frame."""
+    return {root for root, (_, frame) in session._roots.items() if frame}
 
 
 def test_memoised_session_equals_uncached_on_alternating_stream(tworoot_kb, monkeypatch):
@@ -918,7 +928,7 @@ def test_kept_frames_give_the_reports_of_rebuilt_frames(make_kb, with_default_ca
     each ranked root's frame reports, field for field, what a session
     that builds every frame afresh reports. Kept frames are reused, and on
     the cyclic KBs, whose conditional arc's observable flips, some no longer
-    fit and are built again. A session holds frames of alive roots only."""
+    fit and are built again. After a tick every alive root holds a frame."""
     built = _counting(monkeypatch, "slice_frame")
     sliced = _counting(monkeypatch, "simplify")
     reused = rekeyed = 0
@@ -928,13 +938,13 @@ def test_kept_frames_give_the_reports_of_rebuilt_frames(make_kb, with_default_ca
         snapshots = _incident(rng, kb, 12)
         session, reports = DiagnosisSession(kb), []
         for ev in snapshots:
-            kept = set(session._frames)
+            kept = _framed(session)
             built.clear()
             sliced.clear()
             reports.append(session.diagnose_tick(ev))
             reused += len(sliced) - len(built)
             rekeyed += len(kept.intersection(built))
-            assert set(session._frames) <= set(session.alive_roots), seed
+            assert _framed(session) == set(session.alive_roots), seed
         with monkeypatch.context() as patched:
             patched.setattr(SliceFrame, "fits", lambda frame, assignments: False)
             rebuilding = DiagnosisSession(kb)
@@ -943,6 +953,25 @@ def test_kept_frames_give_the_reports_of_rebuilt_frames(make_kb, with_default_ca
     # measured: 589 to 939 frames reused; 222 and 328 rebuilt on the cyclic KBs
     assert reused >= 400, reused
     assert rekeyed >= (150 if make_kb is random_cyclic_kb else 0), rekeyed
+
+
+def test_a_frame_is_rebuilt_exactly_when_its_key_changes_on_the_conditional_fixture(monkeypatch):
+    """In the conditional-arc fixture the bypass valve X3 enables X5<-X4, an
+    arc of both roots' subgraphs. X3 opens at tick 2 and closes at tick 4:
+    each of those ticks builds the alive roots' frames again, and tick 3,
+    whose key is tick 2's, reuses them."""
+    kb = parse_kb((DATA / "conditional_kb.json").read_text(encoding="utf-8"))
+    lines = (DATA / "conditional_signals.csv").read_text(encoding="utf-8").splitlines()
+    built = _counting(monkeypatch, "slice_frame")
+    session, snapshot, per_tick = DiagnosisSession(kb), None, []
+    for tick, readings in iter_reading_groups(lines):
+        snapshot, triggered = ingest_tick(snapshot, tick, readings, kb)
+        if triggered and snapshot.abnormal_set:
+            built.clear()
+            session.diagnose_tick(snapshot)
+            per_tick.append((tick, sorted(built)))
+    assert per_tick == [(1, [1, 2]), (2, [1, 2]), (3, []), (4, [1, 2])]
+    assert session.alive_roots == (2,)
 
 
 def test_memo_is_capped_per_root_least_recently_used_first(monkeypatch):
@@ -1014,7 +1043,7 @@ def test_long_session_memory_is_bounded(tworoot_kb):
     session = DiagnosisSession(tworoot_kb)
     for t in range(16):
         session.diagnose_tick(snapshot(t, pattern[t % 2]))
-        assert set(session._frames) == set(session.alive_roots) == {1, 2}
+        assert _framed(session) == set(session.alive_roots) == {1, 2}
     gc.collect()
     tracemalloc.start()
     try:
@@ -1029,7 +1058,7 @@ def test_long_session_memory_is_bounded(tworoot_kb):
     assert len(session.cubic(2).slices) == 1
     assert held < 1024 * 1024
     session.diagnose_tick(snapshot(16_000, pattern[2]))  # only B2 explains X4
-    assert set(session._frames) == set(session.alive_roots) == {2}
+    assert _framed(session) == set(session.alive_roots) == {2}
 
 
 # --- prediction ----------------------------------------------------------------------
@@ -1088,11 +1117,13 @@ def test_predict_reads_each_intensity_cell_once_on_a_dag(monkeypatch):
 
 def _predict_by_paths(sub, states, kb, hyp, keys):
     """``predict``'s rule without its memo: every simple path enumerated
-    anew, over the KB's arcs within the subgraph. Records each call's
-    (var, seen ∩ ancestors of var) in ``keys``."""
+    anew, over the KB's arcs within the subgraph less those whose condition
+    ``states`` makes False. Records each call's (var, seen ∩ ancestors of
+    var) in ``keys``."""
     arcs = [
         a for a in kb.arcs
         if a.child != a.parent and a.child in sub.variables and a.parent in sub.variables
+        and (a.condition is None or a.condition.evaluate(states) is not False)
     ]
     families = ducg.engine._families(arcs)
     edges = [(a.child, a.parent) for a in arcs]
@@ -1132,19 +1163,24 @@ def _predict_by_paths(sub, states, kb, hyp, keys):
 def test_memoised_predict_equals_path_enumeration_on_cycles(with_default_cause):
     """The memo key keeps the part of ``seen`` a chain value can read, so
     forecasts stay float for float those of enumerating every simple path,
-    also where cycles make that part non-empty."""
+    also where cycles make that part non-empty. The evidence is none, a
+    slice's states and the whole snapshot; each cyclic KB's conditional arc
+    is dropped where that evidence makes its condition False."""
     keys = []
+    dropped = 0
     for seed in range(200):
         rng = random.Random(seed)
         kb = random_cyclic_kb(rng, with_default_cause=with_default_cause)
         ev = random_evidence(rng, kb)
         for sub in decompose(kb):
-            for states in ({}, simplify(sub, ev).states):
+            for states in ({}, simplify(sub, ev).states, ev.assignments):
+                dropped += any(a.condition and a.condition.evaluate(states) is False for a in sub.arcs)
                 for s in kb.variables[sub.root].abnormal_state_ids:
                     hyp = RootLiteral(sub.root, s)
                     want = _predict_by_paths(sub, states, kb, hyp, keys)
                     assert predict(sub, states, kb, s) == want, f"seed {seed} root {sub.root}"
     assert sum(1 for _, part in keys if part) >= 1000
+    assert dropped >= 150, dropped  # measured: 217 and 168
 
 
 # Far past the interpreter's default recursion limit of 1,000 frames.
@@ -1213,6 +1249,85 @@ def test_predict_on_a_long_cycle_raises_cycle_limit():
     (sub,) = decompose(kb)
     with pytest.raises(CycleLimitError):
         predict(sub, {}, kb, 1)
+
+
+# --- parents-first order ---------------------------------------------------------------
+
+
+def _arc_parents(arcs):
+    parents = {}
+    for arc in arcs:
+        parents.setdefault(arc.child, []).append(arc.parent)
+    return parents
+
+
+def _check_parents_first(parents):
+    """``_parents_first(parents)`` against ``graphlib`` as the reference: None
+    exactly when ``TopologicalSorter`` raises ``CycleError``, else every
+    variable once, each after its parents. True when ``parents`` is acyclic."""
+    order = ducg.engine._parents_first(parents)
+    try:
+        want = list(TopologicalSorter(parents).static_order())
+    except CycleError:
+        assert order is None, parents
+        return False
+    assert order is not None and sorted(order) == sorted(want), parents
+    place = {v: i for i, v in enumerate(order)}
+    assert all(place[p] < place[c] for c, ps in parents.items() for p in ps), parents
+    return True
+
+
+@pytest.mark.parametrize("make_kb", [random_kb, random_cyclic_kb])
+@pytest.mark.parametrize("with_default_cause", [False, True])
+def test_parents_first_agrees_with_graphlib_on_random_kbs(make_kb, with_default_cause):
+    """400 random KBs: each subgraph's arcs (self-arcs included), its frame's
+    arcs and its slice's. A slice takes elimination exactly when it is
+    acyclic and its route bound exceeds the cutoff."""
+    acyclic, factored = Counter(), 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        kb = make_kb(rng, with_default_cause=with_default_cause)
+        ev = random_evidence(rng, kb)
+        for sub in decompose(kb):
+            s = simplify(sub, ev)
+            for arcs in (sub.arcs, slice_frame(sub, ev.assignments).arcs, s.arcs):
+                acyclic[_check_parents_first(_arc_parents(arcs))] += 1
+            routes = Counter()
+            for a in s.arcs:
+                routes[a.child] += len(kb.variables[a.parent].states)
+            takes = _check_parents_first(_arc_parents(s.arcs)) and (
+                math.prod(routes.values()) > ducg.engine._EXPAND_MAX_ROUTES
+            )
+            assert ducg.engine._takes_factored_path(s, kb) == takes, seed
+            factored += takes
+    # measured: 86 to 773 cyclic maps of 2,313, and 26 to 103 slices on elimination
+    assert acyclic[False] >= 50 and acyclic[True] >= 1500, acyclic
+    assert factored >= 20, factored
+
+
+@pytest.mark.parametrize("ascending", [True, False], ids=["ascending", "descending"])
+def test_parents_first_on_a_long_chain_and_cycle(ascending):
+    """A 5,000-link chain has one parents-first order, whichever way its ids
+    run; closing it into a cycle gives None."""
+    ids = list(range(1, CHAIN + 2)) if ascending else list(range(CHAIN + 1, 0, -1))
+    chain = _arc_parents(_chain_kb(ids).arcs)
+    assert _check_parents_first(chain)
+    assert ducg.engine._parents_first(chain) == ids
+    assert not _check_parents_first(_arc_parents(_chain_kb(ids, [(ids[1], ids[-1])]).arcs))
+
+
+def test_choosing_the_evaluator_of_a_long_chain_takes_linear_time():
+    """The slice of a 20,000-link chain whose far end is abnormal holds every
+    arc. Peeling one layer of it per pass took 0.97 s of a 1.32 s tick at
+    4,000 links."""
+    ids = list(range(1, 20_002))
+    kb = _chain_kb(ids)
+    (sub,) = decompose(kb)
+    s = simplify(sub, snapshot(1, {ids[-1]: 1}))
+    assert len(s.arcs) == 20_000
+    started = time.perf_counter()
+    assert ducg.engine._takes_factored_path(s, kb)
+    assert time.perf_counter() - started < 2.0
 
 
 # --- helpers ------------------------------------------------------------------------

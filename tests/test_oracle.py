@@ -1,5 +1,6 @@
 """Cross-checks the symbolic engine against brute-force probability enumeration."""
 
+import dataclasses
 import math
 import random
 
@@ -104,31 +105,52 @@ def test_factored_expand_and_oracle_agree(with_default_cause):
 def test_predict_matches_oracle_forward_marginals(with_default_cause):
     """Every X marginal ``predict`` gives for a certain root state equals the
     oracle's Pr{X = k ∧ root = s} / Pr{root = s} on the root's subgraph, on
-    300 random KBs; a default cause counts as present, as in diagnosis."""
-    compared = 0
+    300 random KBs; a default cause counts as present, as in diagnosis.
+
+    One arc of each KB is made conditional on an observable being abnormal.
+    With no evidence the condition is undetermined and the arc counts; with
+    that observable read normal the condition is False, and the oracle runs
+    without the arc. An observable the remaining arcs leave uncaused is
+    certainly normal: the oracle clamps it, and its forecast is 0."""
+    compared = dropped = 0
     for seed in range(300):
-        kb = random_kb(random.Random(seed), with_default_cause=with_default_cause)
-        for sub in decompose(kb):
-            arcs = [a for a in sub.arcs if a.child != a.parent]
-            root = kb.variables[sub.root]
-            for s in root.abnormal_state_ids:
-                # no evidence yet, so predict scores every observable
-                rows = predict(sub, {}, kb, s)
-                got = {(v, k): p for v, k, p in rows}
-                for v in sorted(sub.variables):
-                    if kb.variables[v].kind != "X":
-                        continue
-                    for k in kb.variables[v].abnormal_state_ids:
-                        joint = enumerate_joint(
-                            kb, sub.variables, arcs, {v: k}, hypothesis=(sub.root, s)
-                        )
-                        want = joint / root.prior[s]
-                        assert abs(got.get((v, k), 0.0) - want) <= 1e-9, (
-                            f"seed {seed} root {sub.root} state {s}: X{v}={k} "
-                            f"predict {got.get((v, k), 0.0)}, oracle {want}"
-                        )
-                        compared += 1
-    assert compared >= 1500
+        rng = random.Random(seed)
+        kb = random_kb(rng, with_default_cause=with_default_cause)
+        arcs = list(kb.arcs)
+        i = rng.choice([i for i, a in enumerate(arcs) if a.child != a.parent])
+        on = rng.choice([v for v, var in kb.variables.items() if var.kind == "X"])
+        arcs[i] = dataclasses.replace(arcs[i], condition=Condition(((ConditionLiteral(on, 1),),)))
+        kb = KnowledgeBase(kb.variables, arcs)
+        for states in ({}, {on: 0}):  # nothing abnormal, so every observable is scored
+            for sub in decompose(kb):
+                arcs = [
+                    a for a in sub.arcs
+                    if a.child != a.parent
+                    and (a.condition is None or a.condition.evaluate(states) is not False)
+                ]
+                dropped += len(arcs) < len([a for a in sub.arcs if a.child != a.parent])
+                caused = {a.child for a in arcs}
+                uncaused = {
+                    v: 0 for v in sub.variables if kb.variables[v].kind == "X" and v not in caused
+                }
+                root = kb.variables[sub.root]
+                for s in root.abnormal_state_ids:
+                    rows = predict(sub, states, kb, s)
+                    got = {(v, k): p for v, k, p in rows}
+                    for v in sorted(sub.variables):
+                        if kb.variables[v].kind != "X":
+                            continue
+                        for k in kb.variables[v].abnormal_state_ids:
+                            want = 0.0 if v in uncaused else enumerate_joint(
+                                kb, sub.variables, arcs, {**uncaused, v: k}, hypothesis=(sub.root, s)
+                            ) / root.prior[s]
+                            assert abs(got.get((v, k), 0.0) - want) <= 1e-9, (
+                                f"seed {seed} root {sub.root} state {s} states {states}: "
+                                f"X{v}={k} predict {got.get((v, k), 0.0)}, oracle {want}"
+                            )
+                            compared += 1
+    assert compared >= 3000  # measured: 5,442 and 3,592
+    assert dropped >= 150, dropped  # measured: 321 and 263
 
 
 @pytest.mark.parametrize("second_intensity", [0.6, 0.3])

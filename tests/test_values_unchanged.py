@@ -52,7 +52,7 @@ def drive(kb, batches):
     change made while building it shows too."""
     handed = records(kb)
     session = DiagnosisSession(kb)
-    handed += records(kb, session._subs.values())
+    handed += records(kb, [sub for sub, _ in session._roots.values()])
     slices, frames = set(), set()
     shared_assignments = shared_slices = shared_frames = 0
     prev = None
@@ -69,7 +69,7 @@ def drive(kb, batches):
                 handed.append((layer, repr(layer)))
                 shared_slices += id(layer.latest) in slices
                 slices.add(id(layer.latest))
-            for frame in session._frames.values():
+            for _, frame in session._roots.values():
                 handed.append((frame, repr(frame)))
                 shared_frames += id(frame) in frames
                 frames.add(id(frame))
