@@ -57,10 +57,6 @@ class ArcLiteral:
     intensity: float
     parallel: int = 0
 
-    @property
-    def probability(self) -> float:
-        return self.share * self.intensity
-
 
 @dataclass(frozen=True)
 class Product:
@@ -89,14 +85,10 @@ class Product:
             arcs=tuple(sorted(by_child.values())),
         )
 
-    def states(self) -> dict[int, int]:
-        """Variable → state pinned by this product's root literals."""
-        return {lit.var: lit.state for lit in self.roots}
-
     def value(self, kb: KnowledgeBase) -> float:
         p = 1.0
         for arc in self.arcs:
-            p *= arc.probability
+            p *= arc.share * arc.intensity
         for lit in self.roots:
             p *= root_probability(kb, lit)
         return p
@@ -135,28 +127,25 @@ class EventExpression:
 
     @staticmethod
     def make(products: Iterable[Optional[Product]]) -> "EventExpression":
-        alive = [p for p in products if p is not None]
+        """The sum of the products that exclusivity left (not None), each
+        distinct one once, in sort-key order."""
         unique: dict[tuple, Product] = {}
-        for p in alive:
-            unique.setdefault(p.sort_key(), p)
-        return EventExpression(tuple(sorted(unique.values(), key=Product.sort_key)))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
+        for p in products:
+            if p is not None:
+                unique.setdefault(p.sort_key(), p)
+        return EventExpression(tuple([unique[k] for k in sorted(unique)]))
 
 
 def conjoin(expr: EventExpression, hyp: RootLiteral) -> EventExpression:
     """Restrict ``expr`` to the hypothesis event ``hyp``.
 
-    Products pinning ``hyp.var`` to the same state survive unchanged; products
-    pinning a different state annihilate; products that never mention the
-    variable are dropped too — they carry no evidence about the hypothesis.
+    Products whose root literals hold ``hyp`` survive unchanged, in their
+    order; products pinning a different state annihilate; products that never
+    mention the variable are dropped too — they carry no evidence about the
+    hypothesis. A product holds one literal per root, so the kept terms stay
+    distinct and sorted.
     """
-    kept = [
-        p for p in expr.terms if p.states().get(hyp.var) == hyp.state
-    ]
-    return EventExpression.make(kept)
+    return EventExpression(tuple([p for p in expr.terms if hyp in p.roots]))
 
 
 def eval_expression(expr: EventExpression, kb: KnowledgeBase) -> float:

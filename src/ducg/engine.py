@@ -67,8 +67,10 @@ Slices and ranking follow these rules; each convention is written once:
   evidenced variable (conditional arcs whose condition is false are deleted
   first; self-arcs never lie on a simple path); a forecast (``predict``) runs
   over the same candidate arcs, its root's frame;
-* one parents-first pass (``_parents_first``) orders a graph or finds its
-  cycle, for the choice of evaluator and for ``predict``;
+* one depth-first pass (``_components``) finds a graph's strongly connected
+  components, parents first: every cycle, for the choice of evaluator (a
+  slice is acyclic when each component is one variable) and the order of
+  ``predict``;
 * each child's cause routes share its causal mass as w/r, ``r`` summed over
   the child's retained arcs (``_families``), so a root's explanation never
   pays for causes that live outside its own graph;
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from math import prod
+from math import inf, prod
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -205,25 +207,53 @@ def slice_frame(sub: SubDUCG, assignments: Mapping[int, int]) -> SliceFrame:
     )
 
 
-def _parents_first(parents: Mapping[int, list[int]]) -> Optional[list[int]]:
-    """Every variable of the child→parents map ``parents`` (each list
-    non-empty, an arc's parent once per arc), each after all of its parents,
-    or None when the map has a cycle. One linear pass (Kahn, "Topological
-    sorting of large networks", CACM 1962): a variable is placed once its
-    last parent is."""
-    waiting = {child: len(ps) for child, ps in parents.items()}
-    children: dict[int, list[int]] = {}
-    for child, ps in parents.items():
-        for p in ps:
-            children.setdefault(p, []).append(child)
-    order = [v for v in children if v not in waiting]  # the variables without parents
-    size = len(order) + len(waiting)
-    for v in order:  # ``order`` grows while it is read
-        for child in children.get(v, ()):
-            waiting[child] -= 1
-            if not waiting[child]:
-                order.append(child)
-    return order if len(order) == size else None
+def _components(parents: Mapping[int, list[int]]) -> list[list[int]]:
+    """The strongly connected components of the child→parents map ``parents``
+    (each list non-empty, an arc's parent once per arc), each after every
+    component holding a parent of its variables. A component of two or more
+    variables is a cycle, so the map is acyclic exactly when every component
+    is one variable. A self-arc makes no component larger, so callers drop
+    self-arcs first; frames and slices hold none.
+
+    One depth-first pass from children to parents (Tarjan, "Depth-first
+    search and linear graph algorithms", SIAM J. Comput. 1972), with its own
+    stack of frames so a deep chain meets no recursion limit. Each frame
+    records its variable's position on the pass's stack, and a variable's low
+    point is the lowest position it reaches; a variable whose low point stays
+    its own position closes a component, the variables above it on the stack.
+    """
+    low: dict[int, float] = {}  # variable -> its low point; inf once placed
+    stack: list[int] = []
+    components: list[list[int]] = []
+    for start in parents:
+        if start in low:
+            continue
+        low[start] = 0  # the stack is empty between starts
+        stack.append(start)
+        frames = [(start, 0, iter(parents[start]))]  # (variable, position, parents left)
+        while frames:
+            v, at, ps = frames[-1]
+            for p in ps:
+                low_p = low.get(p)
+                if low_p is None:
+                    low[p] = len(stack)
+                    frames.append((p, len(stack), iter(parents.get(p, ()))))
+                    stack.append(p)
+                    break
+                if low_p < low[v]:
+                    low[v] = low_p
+            else:
+                frames.pop()
+                low_v = low[v]
+                if low_v == at:
+                    component = stack[at:]
+                    del stack[at:]
+                    for u in component:
+                        low[u] = inf
+                    components.append(component)
+                elif low_v < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low_v
+    return components
 
 
 def _unexplained(ev: EvidenceSnapshot, reached: Collection[int]) -> tuple[int, ...]:
@@ -403,7 +433,7 @@ def _takes_factored_path(g: SliceGraph, kb: KnowledgeBase) -> bool:
     for arc in g.arcs:
         routes[arc.child] = routes.get(arc.child, 0) + len(kb.variables[arc.parent].states)
         parents.setdefault(arc.child, []).append(arc.parent)
-    return prod(routes.values()) > _EXPAND_MAX_ROUTES and _parents_first(parents) is not None
+    return prod(routes.values()) > _EXPAND_MAX_ROUTES and all(len(c) == 1 for c in _components(parents))
 
 
 def _positions(
@@ -768,41 +798,33 @@ def predict(
     left out. A condition may name a variable outside ``sub``, so pass the
     whole snapshot's assignments, not a slice's ``states``. Weight
     denominators use only those arcs, and a default cause is always
-    present, mirroring the conventions of diagnosis. On a cycle whose
-    chains nest past the interpreter's recursion limit, raises
-    :class:`CycleLimitError`.
+    present, mirroring the conventions of diagnosis.
+
+    Chain values are computed one strongly connected component at a time,
+    parents first (``_components``), so a cycle's chains nest only within
+    its own component and the cost is linear outside cycles, whatever the
+    ids. On a cycle whose chains nest past the interpreter's recursion
+    limit, raises :class:`CycleLimitError`.
     """
     frame = slice_frame(sub, states)
     families = _families(frame.arcs)
-    parents = frame.parents
-    order = _parents_first(parents)
-    children: dict[int, list[int]] = {}  # left empty on a DAG, where no variable is on a cycle
-    if order is None:
-        order = []
-        for v, ps in parents.items():
-            for p in ps:
-                children.setdefault(p, []).append(v)
-    # A chain's value reads ``seen`` only on the variable's ancestors, so that
-    # part keys the memo. ``seen`` holds descendants of the variable alone, so
-    # the part is ``seen`` met with the variables on a cycle through it. On a
-    # DAG it is empty: each value is computed once, parents first, and no
-    # chain recurses past one arc.
-    on_cycle: dict[int, frozenset[int]] = {}  # shared by the members of a cycle
+    components = _components(frame.parents)
+    # A chain's value reads ``seen`` only on the variable's ancestors, and
+    # ``seen`` holds descendants of the variable alone, so the part of ``seen``
+    # in the variable's own component keys the memo. Off a cycle that part is
+    # empty (the frame has no self-arc), so each value is computed once.
+    # Components are computed parents first, so a chain nests only through
+    # its own component and one of its parents' components. ``cycle`` maps
+    # each variable on a cycle to its component, one set its variables share.
+    cycle = {v: c for c in map(frozenset, components) if len(c) > 1 for v in c}
     memo: dict[tuple[int, int, frozenset[int]], float] = {}
-
-    def cycle_through(var: int) -> frozenset[int]:
-        if var not in on_cycle:
-            below = reach(children.get(var, ()), children)
-            found = frozenset(below & reach((var,), parents)) if var in below else frozenset()
-            on_cycle.update(dict.fromkeys(found or (var,), found))
-        return on_cycle[var]
 
     def chain_probability(var: int, state: int, seen: frozenset[int]) -> float:
         if var == sub.root:
             return 1.0 if state == fault_state else 0.0
         if kb.variables[var].kind == "D":
             return 1.0
-        key = (var, state, seen.intersection(cycle_through(var)))
+        key = (var, state, seen.intersection(cycle.get(var, ())))
         if key in memo:
             return memo[key]
         total = 0.0
@@ -822,9 +844,10 @@ def predict(
 
     rows: list[tuple[int, int, float]] = []
     try:
-        for var_id in order:
-            for state in kb.variables[var_id].abnormal_state_ids:
-                chain_probability(var_id, state, frozenset({var_id}))
+        for c in components:
+            for var_id in c:
+                for state in kb.variables[var_id].abnormal_state_ids:
+                    chain_probability(var_id, state, frozenset({var_id}))
         for var_id in sorted(sub.variables):
             var = kb.variables[var_id]
             if var.kind in ROOT_KINDS:

@@ -39,6 +39,7 @@ FEED_PAIRS = [
     ("tworoot_kb.json", "tworoot_chatter_signals.csv"),
     ("tworoot_modular_kb.json", "tworoot_chatter_signals.csv"),
     ("conditional_kb.json", "conditional_signals.csv"),
+    ("cyclic_kb.json", "cyclic_signals.csv"),
 ]
 
 
@@ -395,6 +396,27 @@ def test_a_conditional_arc_fixture_matches_its_goldens():
     assert (predicted.returncode, predicted.stderr) == (0, "")
     assert predicted.stdout == (DATA / "conditional_predict.json").read_text(encoding="utf-8")
     assert json.loads(predicted.stdout)["predictions"][1] == {"var": 6, "state": 1, "probability": 0.3}
+
+
+def test_a_cyclic_fixture_matches_its_goldens():
+    """The coolant temperature X3 and the loop pressure X4 cause each other,
+    a feedback loop both roots reach. ``replay`` and ``stream`` print the
+    recorded reports; tick 4 repeats tick 1's evidence. The forecast for B2
+    on tick 4's evidence reads X4 through X3 and from B2 directly:
+    2/3 · 0.8 · 1/3 + 1/3 · 0.3."""
+    kb, signals = str(DATA / "cyclic_kb.json"), DATA / "cyclic_signals.csv"
+    want = (DATA / "cyclic_replay.jsonl").read_text(encoding="utf-8")
+    replayed = run_cli("replay", "--kb", kb, "--signals", str(signals), "--no-timing")
+    streamed = run_cli("stream", "--kb", kb, "--no-timing", stdin_text=signals.read_text(encoding="utf-8"))
+    for got in (replayed, streamed):
+        assert (got.returncode, got.stdout, got.stderr) == (0, want, "")
+    reports = json_lines(want)
+    assert [r["status"] for r in reports] == ["ambiguous"] * 4 and reports[3]["hypotheses"] == reports[0]["hypotheses"]
+    predicted = run_cli("predict", "--kb", kb, "--signals", str(signals), "--root", "2", "--state", "1")
+    assert (predicted.returncode, predicted.stderr) == (0, "")
+    assert predicted.stdout == (DATA / "cyclic_predict.json").read_text(encoding="utf-8")
+    x4 = json.loads(predicted.stdout)["predictions"][0]
+    assert x4["var"] == 4 and x4["probability"] == pytest.approx(2 / 3 * 0.8 / 3 + 0.3 / 3, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["replay", "stream"])
